@@ -13,7 +13,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import Angle, ClassicalBeam, FilterStack, angle_from_degrees
+import numpy as np
+
+from .core import ClassicalBeam, FilterStack, angle_from_degrees
 from .engines import (
     CascadeTrace,
     ComparisonReport,
@@ -49,6 +51,7 @@ class ExperimentSpec:
     seed: int = 42
     tolerance: float = 1e-9
     output_format: str = "tsv"
+    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -71,6 +74,8 @@ class ExperimentSpec:
             raise UsageError(f"--seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if not math.isfinite(self.tolerance) or self.tolerance < 0.0:
             raise UsageError(f"--tolerance must be >= 0, got {self.tolerance!r}")
+        if self.workers < 1:
+            raise UsageError(f"--workers must be >= 1, got {self.workers!r}")
 
     def to_argv(self) -> list[str]:
         """Canonical flag list; parsing it back yields an identical spec.
@@ -91,6 +96,7 @@ class ExperimentSpec:
         argv.append(f"--seed={self.seed}")
         argv.append(f"--tolerance={self.tolerance!r}")
         argv.append(f"--format={self.output_format}")
+        argv.append(f"--workers={self.workers}")
         return argv
 
     def stack(self) -> FilterStack:
@@ -226,15 +232,8 @@ def parse_spec(argv: list[str], stack_file_text: str | None = None) -> Experimen
         seed=_parse_int(ns.seed, "--seed"),
         tolerance=_parse_float(ns.tolerance, "--tolerance"),
         output_format=ns.format,
+        workers=_parse_int(ns.workers, "--workers"),
     )
-
-
-def _parse_workers(argv: list[str]) -> int:
-    ns = _build_parser().parse_args(argv)
-    workers = _parse_int(ns.workers, "--workers")
-    if workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {workers!r}")
-    return workers
 
 
 def _num(x: float) -> str:
@@ -242,19 +241,29 @@ def _num(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _axis_deg(angle: Angle) -> str:
-    return _num(angle.degrees)
+def _cells(column, n: int) -> list[str]:
+    # one formatted cell per stage; `-` where the engine has no value
+    if column is None:
+        return ["-"] * n
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    return ["-" if x is None else _num(x) for x in column]
 
 
-def _tsv_row(stage: int, axis: Angle, intensity, stage_prob, cumulative) -> str:
-    cells = [
-        str(stage),
-        _axis_deg(axis),
-        "-" if intensity is None else _num(intensity),
-        "-" if stage_prob is None else _num(stage_prob),
-        "-" if cumulative is None else _num(cumulative),
-    ]
-    return "\t".join(cells)
+def _stage_cells(stack: FilterStack, *columns) -> list[tuple[str, ...]]:
+    """Rows of (stage, axis_deg, *column cells), one per filter."""
+    n = len(stack)
+    return list(
+        zip(
+            [str(i) for i in range(1, n + 1)],
+            _cells(np.degrees(stack.radians), n),
+            *(_cells(c, n) for c in columns),
+        )
+    )
+
+
+def _tsv(rows: list[tuple[str, ...]], footer: list[str]) -> str:
+    return "\n".join([_TSV_HEADER, *("\t".join(r) for r in rows), *footer]) + "\n"
 
 
 def render_trace(result: CascadeTrace | MonteCarloReport, output_format: str = "tsv") -> str:
@@ -271,64 +280,44 @@ def render_trace(result: CascadeTrace | MonteCarloReport, output_format: str = "
 
 
 def _render_cascade(trace: CascadeTrace, output_format: str) -> str:
-    lines = [_TSV_HEADER] if output_format == "tsv" else [_describe_input(trace.input_description)]
-    for s in trace.stages:
-        if output_format == "tsv":
-            lines.append(
-                _tsv_row(
-                    s.stage_index,
-                    s.axis,
-                    s.classical_intensity_after,
-                    s.stage_pass_probability,
-                    s.cumulative_probability,
-                )
-            )
-        else:
-            parts = [f"stage {s.stage_index}: axis {_axis_deg(s.axis)} deg"]
-            if s.classical_intensity_after is not None:
-                parts.append(f"intensity {_num(s.classical_intensity_after)}")
-            if s.stage_pass_probability is not None:
-                parts.append(f"pass prob {_num(s.stage_pass_probability)}")
-            if s.cumulative_probability is not None:
-                parts.append(f"cumulative {_num(s.cumulative_probability)}")
-            lines.append("  " + ", ".join(parts))
+    columns = {
+        "intensity": trace.classical_intensity_after,
+        "pass prob": trace.stage_pass_probability,
+        "cumulative": trace.cumulative_probability,
+    }
+    final = _num(trace.final_transmitted_fraction)
     if output_format == "tsv":
-        lines.append(f"# final_fraction={_num(trace.final_transmitted_fraction)}")
-    else:
-        lines.append(f"transmitted fraction: {_num(trace.final_transmitted_fraction)}")
+        return _tsv(_stage_cells(trace.stack, *columns.values()), [f"# final_fraction={final}"])
+    present = {label: c for label, c in columns.items() if c is not None}
+    lines = [_describe_input(trace.input_description)]
+    for stage, axis, *cells in _stage_cells(trace.stack, *present.values()):
+        values = [f"{label} {v}" for label, v in zip(present, cells)]
+        lines.append(", ".join([f"  stage {stage}: axis {axis} deg", *values]))
+    lines.append(f"transmitted fraction: {final}")
     return "\n".join(lines) + "\n"
 
 
 def _render_mc(report: MonteCarloReport, output_format: str) -> str:
     n = report.photon_count
     counts = report.per_stage_survivor_counts
-    stack = report.config.stack
+    before = (n, *counts[:-1])
     lo, hi = report.confidence_interval_95
     if output_format == "tsv":
-        lines = [_TSV_HEADER]
-        prev = n
-        for i, pol in enumerate(stack):
-            stage_frac = counts[i] / prev if prev > 0 else None
-            lines.append(
-                _tsv_row(i + 1, pol.axis, None, stage_frac, counts[i] / n)
-            )
-            prev = counts[i]
-        lines.append(f"# final_fraction={_num(report.estimate)}")
-        lines.append(
-            f"# estimate={_num(report.estimate)} stderr={_num(report.standard_error)} "
-            f"ci95={_num(lo)},{_num(hi)} seed={report.seed}"
+        stage_frac = [c / p if p > 0 else None for c, p in zip(counts, before)]
+        rows = _stage_cells(report.config.stack, None, stage_frac, [c / n for c in counts])
+        return _tsv(
+            rows,
+            [
+                f"# final_fraction={_num(report.estimate)}",
+                f"# estimate={_num(report.estimate)} stderr={_num(report.standard_error)} "
+                f"ci95={_num(lo)},{_num(hi)} seed={report.seed}",
+            ],
         )
-        return "\n".join(lines) + "\n"
     lines = [
         _describe_input(report.config.input) + f", {n} photons, seed {report.seed}"
     ]
-    prev = n
-    for i, pol in enumerate(stack):
-        lines.append(
-            f"  stage {i + 1}: axis {_axis_deg(pol.axis)} deg, "
-            f"{counts[i]} of {prev} photons passed"
-        )
-        prev = counts[i]
+    for (stage, axis), c, p in zip(_stage_cells(report.config.stack), counts, before):
+        lines.append(f"  stage {stage}: axis {axis} deg, {c} of {p} photons passed")
     lines.append(
         f"transmitted fraction: {_num(report.estimate)} "
         f"(stderr {_num(report.standard_error)}, "
@@ -346,29 +335,28 @@ def render_comparison(
     """Render a classical and a quantum trace side by side with the verdict."""
     verdict = "pass" if report.passed else "fail"
     if output_format == "tsv":
-        lines = [_TSV_HEADER]
-        for c, q in zip(classical.stages, quantum.stages):
-            lines.append(
-                _tsv_row(
-                    c.stage_index,
-                    c.axis,
-                    c.classical_intensity_after,
-                    q.stage_pass_probability,
-                    q.cumulative_probability,
-                )
-            )
-        lines.append(f"# final_fraction={_num(classical.final_transmitted_fraction)}")
-        lines.append(
-            f"# compare={verdict} max_diff={_num(report.max_difference)} "
-            f"tolerance={_num(report.tolerance)}"
+        rows = _stage_cells(
+            classical.stack,
+            classical.classical_intensity_after,
+            quantum.stage_pass_probability,
+            quantum.cumulative_probability,
         )
-        return "\n".join(lines) + "\n"
+        return _tsv(
+            rows,
+            [
+                f"# final_fraction={_num(classical.final_transmitted_fraction)}",
+                f"# compare={verdict} max_diff={_num(report.max_difference)} "
+                f"tolerance={_num(report.tolerance)}",
+            ],
+        )
+    rows = _stage_cells(
+        classical.stack, classical.classical_intensity_after, quantum.cumulative_probability
+    )
     lines = [_describe_input(classical.input_description)]
-    for c, q in zip(classical.stages, quantum.stages):
+    for stage, axis, intensity, cumulative in rows:
         lines.append(
-            f"  stage {c.stage_index}: axis {_axis_deg(c.axis)} deg, "
-            f"intensity {_num(c.classical_intensity_after)}, "
-            f"cumulative prob {_num(q.cumulative_probability)}"
+            f"  stage {stage}: axis {axis} deg, "
+            f"intensity {intensity}, cumulative prob {cumulative}"
         )
     lines.append(
         f"classical fraction {_num(classical.final_transmitted_fraction)} vs "
@@ -384,12 +372,12 @@ def _describe_input(desc: ClassicalBeam | PhotonInput) -> str:
         if desc.plane is None:
             return f"input: unpolarized, intensity {_num(desc.intensity)}"
         return (
-            f"input: linear at {_axis_deg(desc.plane)} deg, "
+            f"input: linear at {_num(desc.plane.degrees)} deg, "
             f"intensity {_num(desc.intensity)}"
         )
     if desc.is_unpolarized:
         return "input: unpolarized photons"
-    return f"input: photons polarized at {_axis_deg(desc.angle)} deg"
+    return f"input: photons polarized at {_num(desc.angle.degrees)} deg"
 
 
 def exit_policy(result) -> int:
@@ -411,7 +399,7 @@ def _photon_input(spec: ExperimentSpec) -> PhotonInput:
     return PhotonInput.pure_ket(angle_from_degrees(spec.input_angle_deg))
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> tuple[str, object]:
+def run_experiment(spec: ExperimentSpec) -> tuple[str, object]:
     """Execute the requested mode; returns (rendered output, result object)."""
     stack = spec.stack()
     if spec.mode == "classical":
@@ -427,7 +415,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> tuple[str, object]
             input=_photon_input(spec),
             stack=stack,
         )
-        report = run_monte_carlo(config, workers=workers)
+        report = run_monte_carlo(config, workers=spec.workers)
         return render_trace(report, spec.output_format), report
     classical = run_classical(_classical_beam(spec), stack)
     quantum = run_quantum_exact(_photon_input(spec), stack)
@@ -439,9 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        spec = parse_spec(argv)
-        workers = _parse_workers(argv)
-        output, result = run_experiment(spec, workers=workers)
+        output, result = run_experiment(parse_spec(argv))
     except UsageError as exc:
         print(f"polcascade: error: {exc}", file=sys.stderr)
         return 2

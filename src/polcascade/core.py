@@ -3,7 +3,8 @@
 Everything here is per-filter: the Malus cos^2 factor for classical beams,
 polarization kets with the Born-rule pass probability, projective collapse,
 and the 2x2 density-matrix treatment needed to describe unpolarized light
-exactly. Whole-stack evaluation lives in :mod:`polcascade.engines`.
+exactly. They are the reference the array folds in :mod:`polcascade.engines`
+are tested against; :class:`FilterStack` holds one read-only array of radians.
 
 All values are immutable after construction and every operation is a pure
 function, so they are safe to share between concurrent workers.
@@ -12,7 +13,7 @@ function, so they are safe to share between concurrent workers.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,28 +83,43 @@ class Polarizer:
         return cls(angle_from_degrees(degrees))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterStack:
-    """Ordered sequence of polarizers; an empty stack transmits unchanged."""
+    """Ordered polarizer axes; an empty stack transmits unchanged.
 
-    polarizers: tuple[Polarizer, ...] = field(default=())
+    `radians` is one read-only float64 array, each axis reduced to
+    [0, pi) exactly as :class:`Angle` reduces a single value.
+    """
+
+    radians: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "polarizers", tuple(self.polarizers))
+        r = np.array(self.radians, dtype=np.float64).reshape(-1)
+        if not np.isfinite(r).all():
+            raise ValueError("angle must be finite")
+        r = np.mod(r, np.pi)
+        r[r >= np.pi] = 0.0  # same landing-on-the-divisor case as Angle
+        r.flags.writeable = False
+        object.__setattr__(self, "radians", r)
 
     @classmethod
     def from_degrees(cls, degrees: Iterable[float]) -> FilterStack:
-        return cls(tuple(Polarizer.from_degrees(d) for d in degrees))
+        return cls(np.radians(np.fromiter(degrees, dtype=np.float64)))
 
     @property
     def axes(self) -> tuple[Angle, ...]:
-        return tuple(p.axis for p in self.polarizers)
+        return tuple(Angle(r) for r in self.radians.tolist())
 
     def __len__(self) -> int:
-        return len(self.polarizers)
+        return len(self.radians)
 
-    def __iter__(self) -> Iterator[Polarizer]:
-        return iter(self.polarizers)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FilterStack):
+            return NotImplemented
+        return np.array_equal(self.radians, other.radians)
+
+    def __hash__(self) -> int:
+        return hash(self.radians.tobytes())
 
 
 @dataclass(frozen=True)
@@ -143,7 +159,10 @@ def malus_factor(plane: Angle, axis: Angle) -> float:
     `plane` keeps the squared cosine of the relative angle when passing a
     polarizer with transmission `axis`.
     """
-    return math.cos(axis.radians - plane.radians) ** 2
+    c = math.cos(axis.radians - plane.radians)
+    # multiply rather than ** 2: float pow is not correctly rounded, and the
+    # whole-stack folds must reproduce these squares bit for bit
+    return c * c
 
 
 def classical_transmit(beam: ClassicalBeam, p: Polarizer) -> ClassicalBeam:
@@ -210,7 +229,8 @@ def inner_product(a: PolarizationKet, b: PolarizationKet) -> float:
 
 def pass_probability(state: PolarizationKet, p: Polarizer) -> float:
     """Born-rule probability |<axis|state>|^2 of passing the polarizer."""
-    return inner_product(ket(p.axis), state) ** 2
+    c = inner_product(ket(p.axis), state)
+    return c * c
 
 
 def project(state: PolarizationKet, p: Polarizer) -> PolarizationKet:

@@ -1,43 +1,35 @@
 """Whole-stack evaluation engines and their mutual-consistency check.
 
-Three engines share the single-filter primitives from
+The exact engines are array folds over :attr:`FilterStack.radians` that
+match, bit for bit, a loop over the single-filter functions in
 :mod:`polcascade.core`:
 
-* :func:`run_classical` folds Malus's law over the stack and tracks
-  intensities.
-* :func:`run_quantum_exact` multiplies Born-rule pass probabilities along
-  the collapse chain (density-matrix first stage for unpolarized input).
-* :func:`run_monte_carlo` samples individual photons with counter-based
-  per-photon random streams, so results are bit-identical for a fixed
-  seed no matter how the photon population is partitioned across workers.
+* :func:`run_classical` is one running product of Malus cos^2 factors.
+* :func:`run_quantum_exact` multiplies Born-rule pass probabilities, squared
+  dot products of (cos, sin) kets, along the collapse chain; unpolarized
+  input passes the first filter with probability exactly 1/2.
+* :func:`run_monte_carlo` samples individual photons against the same
+  Born-rule stage probabilities with counter-based per-photon random
+  streams, so results are bit-identical for a fixed seed no matter how the
+  photons are partitioned across workers.
 
-:func:`compare` reconciles the classical intensity fraction with the
-quantum cumulative probability; the two agree because transmitted
-intensity is proportional to the photon transmission probability.
+A :class:`CascadeTrace` holds one array per column an engine produces; its
+`stages` are a per-row view. :func:`compare` reconciles the classical
+intensity fraction with the quantum cumulative probability; the two agree
+because transmitted intensity is proportional to the photon transmission
+probability.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Angle,
-    ClassicalBeam,
-    DensityMatrix2,
-    FilterStack,
-    Polarizer,
-    ZERO_PROBABILITY_TOL,
-    classical_transmit,
-    density_pass_probability,
-    density_project,
-    ket,
-    pass_probability,
-    project,
-)
+from .core import Angle, ClassicalBeam, FilterStack, ZERO_PROBABILITY_TOL
 
 # Two-sided 95% normal quantile, used by the Wilson score interval.
 _Z95 = 1.959963984540054
@@ -55,10 +47,9 @@ class ComparisonDomainError(ValueError):
 class PhotonInput:
     """Quantum-side input: a pure ket at a plane angle, or unpolarized.
 
-    Unpolarized input is represented exactly as the density matrix I/2 by
-    the exact engine, and samplably as a uniform random plane angle per
-    photon by the Monte Carlo engine; both reproduce the 1/2 first-filter
-    factor.
+    Unpolarized input is the density matrix I/2, whose exact first-filter
+    factor 1/2 the exact engine uses directly, and a uniform random plane
+    angle per photon for the Monte Carlo engine, which reproduces it.
     """
 
     angle: Angle | None = None
@@ -87,13 +78,32 @@ class StageRecord:
     cumulative_probability: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CascadeTrace:
-    """End-to-end result of a classical or exact quantum run."""
+    """End-to-end result of a classical or exact quantum run.
+
+    Per-stage results are columns aligned with `stack`, one float64 array
+    each, and None for a column the engine does not produce.
+    """
 
     input_description: ClassicalBeam | PhotonInput
-    stages: tuple[StageRecord, ...]
+    stack: FilterStack
     final_transmitted_fraction: float
+    classical_intensity_after: np.ndarray | None = None
+    stage_pass_probability: np.ndarray | None = None
+    cumulative_probability: np.ndarray | None = None
+
+    @property
+    def stages(self) -> tuple[StageRecord, ...]:
+        """The columns as one :class:`StageRecord` per filter."""
+        n = len(self.stack)
+        columns = (
+            self.classical_intensity_after,
+            self.stage_pass_probability,
+            self.cumulative_probability,
+        )
+        rows = zip(self.stack.axes, *([None] * n if c is None else c.tolist() for c in columns))
+        return tuple(StageRecord(i, *row) for i, row in enumerate(rows, start=1))
 
 
 @dataclass(frozen=True)
@@ -106,12 +116,23 @@ class MonteCarloConfig:
     stack: FilterStack
 
     def __post_init__(self) -> None:
-        if not isinstance(self.photon_count, int) or self.photon_count < 1:
+        count, seed = _as_int(self.photon_count), _as_int(self.seed)
+        if count is None or count < 1:
             raise ValueError(
                 f"photon_count must be an integer >= 1, got {self.photon_count!r}"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if seed is None or not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "photon_count", count)
+        object.__setattr__(self, "seed", seed)
+
+
+def _as_int(value: object) -> int | None:
+    """`value` as a Python int if it is an integer type other than bool."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -152,26 +173,39 @@ def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
     is final intensity over input intensity (0 for a dark input beam); an
     empty stack transmits unchanged with fraction 1.
     """
-    beam = input
-    stages = []
-    for i, pol in enumerate(stack, start=1):
-        beam = classical_transmit(beam, pol)
-        stages.append(
-            StageRecord(
-                stage_index=i,
-                axis=pol.axis,
-                classical_intensity_after=beam.intensity,
-            )
-        )
+    axes = stack.radians
+    planes = axes if input.plane is None else np.concatenate(([input.plane.radians], axes))
+    c = np.cos(np.diff(planes))
+    halved = [0.5] * len(axes[:1]) if input.plane is None else []
+    # a sequential running product: the same roundings as the per-filter loop
+    intensities = np.cumprod(np.concatenate(([input.intensity], halved, c * c)))
     if input.intensity > 0.0:
-        fraction = beam.intensity / input.intensity
+        fraction = float(intensities[-1]) / input.intensity
     else:
         fraction = 0.0
     return CascadeTrace(
         input_description=input,
-        stages=tuple(stages),
+        stack=stack,
         final_transmitted_fraction=fraction,
+        classical_intensity_after=intensities[1:],
     )
+
+
+def _born_probabilities(input: PhotonInput, axes: np.ndarray) -> np.ndarray:
+    """Born-rule pass probability of each stage, before any extinction cut.
+
+    Stage 1 sees the input state (exactly 1/2 for unpolarized light, since
+    <axis|I/2|axis> = 1/2 for every axis); every later stage sees the ket
+    of the filter before it. Probabilities are squared, clamped dot products
+    of (cos, sin) kets, as :func:`polcascade.core.pass_probability` has them.
+    """
+    planes = axes if input.is_unpolarized else np.concatenate(([input.angle.radians], axes))
+    h, v = np.cos(planes), np.sin(planes)
+    dot = np.clip(h[1:] * h[:-1] + v[1:] * v[:-1], -1.0, 1.0)
+    probs = dot * dot
+    if input.is_unpolarized and len(axes):
+        probs = np.concatenate(([0.5], probs))
+    return probs
 
 
 def run_quantum_exact(input: PhotonInput, stack: FilterStack) -> CascadeTrace:
@@ -180,50 +214,22 @@ def run_quantum_exact(input: PhotonInput, stack: FilterStack) -> CascadeTrace:
     For a pure-ket input each stage contributes the Born-rule pass
     probability and collapses the state onto the filter axis; the
     cumulative probability is the running product. Unpolarized input
-    starts from the density matrix I/2 for the first stage and evolves as
-    a pure state afterwards.
+    starts from the density matrix I/2, which every first filter passes
+    with probability 1/2, and evolves as a pure state afterwards.
 
     A stage probability below 1e-15 is the physical zero (orthogonal
-    filter pair): it is recorded as exactly 0, every later cumulative
-    probability is exactly 0, and no projection error is raised.
+    filter pair): it is recorded as exactly 0, every later stage and
+    cumulative probability is exactly 0, and no projection error is raised.
     """
-    stages = []
-    cumulative = 1.0
-    extinct = False
-    state = None if input.is_unpolarized else ket(input.angle)
-    rho = DensityMatrix2.unpolarized() if input.is_unpolarized else None
-
-    for i, pol in enumerate(stack, start=1):
-        if extinct:
-            prob = 0.0
-        else:
-            if rho is not None:
-                prob = density_pass_probability(rho, pol)
-            else:
-                prob = pass_probability(state, pol)
-            if prob < ZERO_PROBABILITY_TOL:
-                prob = 0.0
-                extinct = True
-            elif rho is not None:
-                density_project(rho, pol)
-                # post-measurement state is pure: continue in ket form
-                state = ket(pol.axis)
-                rho = None
-            else:
-                state = project(state, pol)
-        cumulative = 0.0 if extinct else cumulative * prob
-        stages.append(
-            StageRecord(
-                stage_index=i,
-                axis=pol.axis,
-                stage_pass_probability=prob,
-                cumulative_probability=cumulative,
-            )
-        )
+    probs = _born_probabilities(input, stack.radians)
+    probs[np.logical_or.accumulate(probs < ZERO_PROBABILITY_TOL)] = 0.0
+    cumulative = np.cumprod(probs)
     return CascadeTrace(
         input_description=input,
-        stages=tuple(stages),
-        final_transmitted_fraction=cumulative,
+        stack=stack,
+        final_transmitted_fraction=float(cumulative[-1]) if len(cumulative) else 1.0,
+        stage_pass_probability=probs,
+        cumulative_probability=cumulative,
     )
 
 
@@ -267,27 +273,31 @@ def _survivors_in_chunk(
     config: MonteCarloConfig,
     start: int,
     count: int,
-    first_axis: float,
-    conditional_probs: list[float],
+    probs: np.ndarray,
 ) -> np.ndarray:
-    """Per-stage survivor counts for a contiguous block of photons."""
+    """Per-stage survivor counts for a contiguous block of photons.
+
+    `probs` are the Born-rule stage probabilities; for unpolarized input
+    the first stage is sampled from each photon's own plane angle instead.
+    """
     n_stages = len(config.stack)
     draws = n_stages + 1  # slot 0 is the plane-angle draw, then one per filter
     u = _photon_uniforms(config.seed, start, count, draws)
     counts = np.zeros(n_stages, dtype=np.int64)
 
     if config.input.is_unpolarized:
+        first_axis = config.stack.radians[0]
         theta = u[:, 0] * np.pi
         dot = np.cos(first_axis) * np.cos(theta) + np.sin(first_axis) * np.sin(theta)
         p_first = dot * dot
     else:
-        p_first = pass_probability(ket(config.input.angle), config.stack.polarizers[0])
+        p_first = probs[0]
     alive = u[:, 1] < p_first
     counts[0] = np.count_nonzero(alive)
     # after any filter every survivor is collapsed onto that axis, so the
     # remaining stage probabilities are scalars
     for j in range(1, n_stages):
-        alive &= u[:, j + 1] < conditional_probs[j - 1]
+        alive &= u[:, j + 1] < probs[j]
         counts[j] = np.count_nonzero(alive)
     return counts
 
@@ -312,20 +322,14 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
         counts: tuple[int, ...] = ()
         transmitted = n
     else:
-        first_axis = stack.polarizers[0].axis.radians
-        conditional_probs = [
-            pass_probability(ket(stack.polarizers[j - 1].axis), stack.polarizers[j])
-            for j in range(1, len(stack))
-        ]
+        probs = _born_probabilities(config.input, stack.radians)
         chunks = [
             (start, min(_CHUNK_SIZE, n - start)) for start in range(0, n, _CHUNK_SIZE)
         ]
 
         def work(chunk: tuple[int, int]) -> np.ndarray:
             start, count = chunk
-            return _survivors_in_chunk(
-                config, start, count, first_axis, conditional_probs
-            )
+            return _survivors_in_chunk(config, start, count, probs)
 
         if workers == 1 or len(chunks) == 1:
             partials = [work(c) for c in chunks]
@@ -373,39 +377,36 @@ def compare(
 
     Raises
     ------
+    ValueError
+        If `tolerance` is negative or NaN.
     ComparisonDomainError
         If the traces are not a (classical, quantum) pair over the same
         stack and equivalent input.
     """
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     if not isinstance(classical.input_description, ClassicalBeam):
         raise ComparisonDomainError("first trace must come from the classical engine")
     if not isinstance(quantum.input_description, PhotonInput):
         raise ComparisonDomainError("second trace must come from the quantum engine")
     if not _compatible_inputs(classical.input_description, quantum.input_description):
         raise ComparisonDomainError("traces describe different input kinds")
-    c_axes = tuple(s.axis for s in classical.stages)
-    q_axes = tuple(s.axis for s in quantum.stages)
-    if c_axes != q_axes:
+    if classical.stack != quantum.stack:
         raise ComparisonDomainError("traces describe different filter stacks")
+    if classical.classical_intensity_after is None:
+        raise ComparisonDomainError("classical trace is missing stage intensities")
+    if quantum.cumulative_probability is None:
+        raise ComparisonDomainError("quantum trace is missing stage probabilities")
 
     intensity_in = classical.input_description.intensity
-    diffs = []
-    for c_stage, q_stage in zip(classical.stages, quantum.stages):
-        if c_stage.classical_intensity_after is None:
-            raise ComparisonDomainError("classical trace is missing stage intensities")
-        if q_stage.cumulative_probability is None:
-            raise ComparisonDomainError("quantum trace is missing stage probabilities")
-        if intensity_in > 0.0:
-            fraction = c_stage.classical_intensity_after / intensity_in
-        else:
-            fraction = 0.0
-        diffs.append(abs(fraction - q_stage.cumulative_probability))
+    fractions = classical.classical_intensity_after / intensity_in if intensity_in > 0.0 else 0.0
+    diffs = np.abs(fractions - quantum.cumulative_probability)
     final_diff = abs(
         classical.final_transmitted_fraction - quantum.final_transmitted_fraction
     )
-    max_diff = max([final_diff, *diffs])
+    max_diff = float(np.max(diffs, initial=final_diff))
     return ComparisonReport(
-        stage_differences=tuple(diffs),
+        stage_differences=tuple(diffs.tolist()),
         final_difference=final_diff,
         max_difference=max_diff,
         tolerance=tolerance,
@@ -425,7 +426,5 @@ def staircase_transmission(n: int, start: Angle, end: Angle) -> CascadeTrace:
     if n < 1:
         raise ValueError(f"staircase needs n >= 1 filters, got {n!r}")
     step = (end.radians - start.radians) / n
-    stack = FilterStack(
-        tuple(Polarizer(Angle(start.radians + k * step)) for k in range(1, n + 1))
-    )
+    stack = FilterStack(start.radians + np.arange(1, n + 1) * step)
     return run_quantum_exact(PhotonInput.pure_ket(start), stack)

@@ -127,6 +127,7 @@ spec_strategy = st.builds(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     tolerance=st.floats(min_value=0, max_value=1.0, allow_nan=False),
     output_format=st.sampled_from(["tsv", "text"]),
+    workers=st.integers(min_value=1, max_value=64),
 )
 
 

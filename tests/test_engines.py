@@ -4,8 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from polcascade.core import Angle, ClassicalBeam, FilterStack, angle_from_degrees
+from polcascade import engines
+from polcascade.core import (
+    Angle,
+    ClassicalBeam,
+    DensityMatrix2,
+    FilterStack,
+    Polarizer,
+    angle_from_degrees,
+    classical_transmit,
+    density_pass_probability,
+    ket,
+    pass_probability,
+)
 from polcascade.engines import (
     ComparisonDomainError,
     MonteCarloConfig,
@@ -133,6 +146,54 @@ class TestRunQuantumExact:
             assert trace.final_transmitted_fraction == 0.0
 
 
+def oracle_loop(degrees, plane_deg):
+    """Per-filter loop over the core functions: the classical intensity and
+    the quantum cumulative probability after each stage."""
+    if plane_deg is None:
+        beam, state = ClassicalBeam.unpolarized(1.0), None
+    else:
+        beam, state = ClassicalBeam.linear(deg(plane_deg), 1.0), ket(deg(plane_deg))
+    intensities, cumulative, running = [], [], 1.0
+    for d in degrees:
+        p = Polarizer.from_degrees(d)
+        beam = classical_transmit(beam, p)
+        intensities.append(beam.intensity)
+        if state is None:
+            # I/2 passes every axis with probability 1/2, up to the rounding
+            # of the density-matrix product
+            assert abs(density_pass_probability(DensityMatrix2.unpolarized(), p) - 0.5) <= 2.3e-16
+            prob = 0.5
+        else:
+            prob = pass_probability(state, p)
+        running = 0.0 if prob < 1e-15 else running * prob
+        cumulative.append(running)
+        state = ket(p.axis)
+    return intensities, cumulative
+
+
+class TestFoldsMatchOracle:
+    @given(
+        degrees=st.lists(
+            st.floats(min_value=-1e4, max_value=1e4, allow_nan=False), min_size=1, max_size=40
+        ),
+        plane_deg=st.none() | st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+    )
+    def test_bit_identical_to_per_filter_loop(self, degrees, plane_deg):
+        stack = FilterStack.from_degrees(degrees)
+        if plane_deg is None:
+            beam, photons = ClassicalBeam.unpolarized(1.0), PhotonInput.unpolarized()
+        else:
+            beam = ClassicalBeam.linear(deg(plane_deg), 1.0)
+            photons = PhotonInput.pure_ket(deg(plane_deg))
+        intensities, cumulative = oracle_loop(degrees, plane_deg)
+        classical = run_classical(beam, stack)
+        quantum = run_quantum_exact(photons, stack)
+        assert classical.classical_intensity_after.tolist() == intensities
+        assert quantum.cumulative_probability.tolist() == cumulative
+        assert classical.final_transmitted_fraction == intensities[-1]
+        assert quantum.final_transmitted_fraction == cumulative[-1]
+
+
 class TestEquivalence:
     def test_classical_and_quantum_agree_on_1000_random_stacks(self):
         rng = np.random.default_rng(20240911)
@@ -196,6 +257,14 @@ class TestCompare:
         with pytest.raises(ComparisonDomainError):
             compare(quantum, quantum, 1e-9)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1e-9])
+    def test_invalid_tolerance_rejected(self, tolerance):
+        stack = stack_of(0, 45)
+        classical = run_classical(ClassicalBeam.unpolarized(1.0), stack)
+        quantum = run_quantum_exact(PhotonInput.unpolarized(), stack)
+        with pytest.raises(ValueError, match="tolerance"):
+            compare(classical, quantum, tolerance)
+
     def test_empty_stacks_compare_equal(self):
         classical = run_classical(ClassicalBeam.unpolarized(1.0), FilterStack())
         quantum = run_quantum_exact(PhotonInput.unpolarized(), FilterStack())
@@ -206,16 +275,33 @@ class TestCompare:
 
 class TestMonteCarlo:
     def test_rejects_zero_photons(self):
-        with pytest.raises(ValueError):
-            MonteCarloConfig(
-                photon_count=0, seed=1, input=PhotonInput.unpolarized(), stack=stack_of(0)
-            )
+        for count in (0, True, 1000.0):
+            with pytest.raises(ValueError):
+                MonteCarloConfig(
+                    photon_count=count, seed=1, input=PhotonInput.unpolarized(), stack=stack_of(0)
+                )
 
     def test_rejects_out_of_range_seed(self):
-        with pytest.raises(ValueError):
-            MonteCarloConfig(
-                photon_count=1, seed=-1, input=PhotonInput.unpolarized(), stack=stack_of(0)
-            )
+        for seed in (-1, 2**64, False, 1.0):
+            with pytest.raises(ValueError):
+                MonteCarloConfig(
+                    photon_count=1, seed=seed, input=PhotonInput.unpolarized(), stack=stack_of(0)
+                )
+
+    @pytest.mark.parametrize(
+        "count,seed", [(np.int64(1000), np.uint64(2**64 - 1)), (np.int32(1000), np.int64(7))]
+    )
+    def test_accepts_numpy_integers(self, count, seed):
+        config = MonteCarloConfig(
+            photon_count=count, seed=seed, input=PhotonInput.unpolarized(), stack=stack_of(0)
+        )
+        assert type(config.photon_count) is int and type(config.seed) is int
+        assert config == MonteCarloConfig(
+            photon_count=int(count),
+            seed=int(seed),
+            input=PhotonInput.unpolarized(),
+            stack=stack_of(0),
+        )
 
     def test_perpendicular_transmits_nothing(self):
         config = MonteCarloConfig(
@@ -260,6 +346,24 @@ class TestMonteCarlo:
             stack=stack_of(10, 40, 70, 100),
         )
         assert run_monte_carlo(config, workers=workers) == run_monte_carlo(config)
+
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    @pytest.mark.parametrize(
+        "photon_input",
+        [PhotonInput.unpolarized(), PhotonInput.pure_ket(angle_from_degrees(25))],
+        ids=["unpolarized", "linear"],
+    )
+    def test_chunk_size_does_not_change_results(self, monkeypatch, chunk, photon_input):
+        config = MonteCarloConfig(
+            photon_count=200_001,
+            seed=1618033988,
+            input=photon_input,
+            stack=stack_of(10, 40, 70, 100),
+        )
+        expected = run_monte_carlo(config)
+        monkeypatch.setattr(engines, "_CHUNK_SIZE", chunk)
+        for workers in (1, 2):
+            assert run_monte_carlo(config, workers=workers) == expected
 
     def test_report_invariants(self):
         rng = np.random.default_rng(31)
