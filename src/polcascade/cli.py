@@ -3,7 +3,7 @@
 Angles cross this boundary in degrees and are converted to radians once,
 when the filter stack is built. Reports go to stdout (TSV or plain text),
 diagnostics to stderr. Exit codes: 0 success (including a passing
-compare), 1 compare failure, 2 usage error.
+compare), 1 compare failure, 2 usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class ExperimentSpec:
                 raise UsageError(f"filter angle must be finite, got {a!r}")
         if not math.isfinite(self.intensity) or self.intensity <= 0.0:
             raise UsageError(f"--intensity must be > 0, got {self.intensity!r}")
-        if self.mode == "mc" and self.photons < 1:
-            raise UsageError(f"--photons must be >= 1, got {self.photons!r}")
+        if self.mode == "mc" and not 1 <= self.photons < 2**63:
+            raise UsageError(f"--photons must be in [1, 2**63), got {self.photons!r}")
         if not 0 <= self.seed < 2**64:
             raise UsageError(f"--seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if not math.isfinite(self.tolerance) or self.tolerance < 0.0:
@@ -431,6 +431,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"polcascade: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit code 1 already means "compare failed", so a crash gets its own code
+        print(f"polcascade: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(output)
     return exit_policy(result)
 

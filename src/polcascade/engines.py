@@ -8,10 +8,11 @@ match, bit for bit, a loop over the single-filter functions in
 * :func:`run_quantum_exact` multiplies Born-rule pass probabilities, squared
   dot products of (cos, sin) kets, along the collapse chain; unpolarized
   input passes the first filter with probability exactly 1/2.
-* :func:`run_monte_carlo` samples individual photons against the same
-  Born-rule stage probabilities with counter-based per-photon random
-  streams, so results are bit-identical for a fixed seed no matter how the
-  photons are partitioned across workers.
+* :func:`run_monte_carlo` samples each photon at the first filter from its
+  own counter-based random draws; the survivors, all collapsed onto that
+  axis, then pass the later filters as a chain of binomial draws with the
+  same Born-rule stage probabilities. Results are bit-identical for a fixed
+  seed no matter how the photons are partitioned across workers.
 
 A :class:`CascadeTrace` holds one array per column an engine produces; its
 `stages` are a per-row view. :func:`compare` reconciles the classical
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,9 +36,13 @@ from .core import Angle, ClassicalBeam, FilterStack, ZERO_PROBABILITY_TOL
 # Two-sided 95% normal quantile, used by the Wilson score interval.
 _Z95 = 1.959963984540054
 
-# Photons per work unit; counts reduce by integer addition, so any
+# Photons per work unit; stage-1 counts reduce by integer addition, so any
 # partitioning yields identical results.
 _CHUNK_SIZE = 1 << 16
+
+# Philox counter of the stream that draws the binomial chain of stages
+# 2..S. Photon blocks have a zero third word, so the streams never overlap.
+_CHAIN_COUNTER = (0, 0, 1, 0)
 
 
 class ComparisonDomainError(ValueError):
@@ -47,9 +53,10 @@ class ComparisonDomainError(ValueError):
 class PhotonInput:
     """Quantum-side input: a pure ket at a plane angle, or unpolarized.
 
-    Unpolarized input is the density matrix I/2, whose exact first-filter
-    factor 1/2 the exact engine uses directly, and a uniform random plane
-    angle per photon for the Monte Carlo engine, which reproduces it.
+    Unpolarized input is the density matrix I/2. The exact engine uses its
+    first-filter factor 1/2 directly; the Monte Carlo engine gives each
+    photon a plane angle uniform on [0, pi) at the first filter, which
+    reproduces it. After the first filter the input no longer matters.
     """
 
     angle: Angle | None = None
@@ -117,9 +124,10 @@ class MonteCarloConfig:
 
     def __post_init__(self) -> None:
         count, seed = _as_int(self.photon_count), _as_int(self.seed)
-        if count is None or count < 1:
+        # the binomial chain counts survivors in int64
+        if count is None or not 1 <= count < 2**63:
             raise ValueError(
-                f"photon_count must be an integer >= 1, got {self.photon_count!r}"
+                f"photon_count must be an integer in [1, 2**63), got {self.photon_count!r}"
             )
         if seed is None or not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
@@ -255,63 +263,58 @@ def wilson_interval_95(successes: int, trials: int) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _photon_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
-    """Uniform [0, 1) draws for photons [start, start + count).
+def _effective_workers(workers: int, n_chunks: int, cpus: int | None) -> int:
+    """Threads worth starting: no more than there are chunks or CPUs."""
+    return max(1, min(workers, n_chunks, cpus or 1))
 
-    Counter-based streams: photon i owns the Philox counter blocks
-    [i*bpp, (i+1)*bpp) under the key `seed`, where each 256-bit block
-    yields four doubles. Row j of the result is therefore a pure function
-    of (seed, start + j), independent of how photons are chunked.
+
+def _first_stage_survivors(
+    config: MonteCarloConfig, p_first: float, first_chunk: int, stride: int
+) -> int:
+    """Photons passing filter 1 in chunks first_chunk, first_chunk + stride, ...
+
+    Photon i owns doubles [2i, 2i + 2) of the Philox stream keyed by the
+    seed, which is counter block i // 2: the first is its pass draw, the
+    second its plane angle as a fraction of pi when the input is
+    unpolarized. A chunk that starts on an odd photon draws the pair of the
+    photon before it too and drops it. `p_first` is the pass probability of
+    a linearly polarized input.
     """
-    bpp = (draws + 3) // 4  # blocks per photon
-    bg = np.random.Philox(key=seed, counter=[start * bpp, 0, 0, 0])
-    u = np.random.Generator(bg).random((count, 4 * bpp))
-    return u[:, :draws]
-
-
-def _survivors_in_chunk(
-    config: MonteCarloConfig,
-    start: int,
-    count: int,
-    probs: np.ndarray,
-) -> np.ndarray:
-    """Per-stage survivor counts for a contiguous block of photons.
-
-    `probs` are the Born-rule stage probabilities; for unpolarized input
-    the first stage is sampled from each photon's own plane angle instead.
-    """
-    n_stages = len(config.stack)
-    draws = n_stages + 1  # slot 0 is the plane-angle draw, then one per filter
-    u = _photon_uniforms(config.seed, start, count, draws)
-    counts = np.zeros(n_stages, dtype=np.int64)
-
-    if config.input.is_unpolarized:
-        first_axis = config.stack.radians[0]
-        theta = u[:, 0] * np.pi
-        dot = np.cos(first_axis) * np.cos(theta) + np.sin(first_axis) * np.sin(theta)
-        p_first = dot * dot
-    else:
-        p_first = probs[0]
-    alive = u[:, 1] < p_first
-    counts[0] = np.count_nonzero(alive)
-    # after any filter every survivor is collapsed onto that axis, so the
-    # remaining stage probabilities are scalars
-    for j in range(1, n_stages):
-        alive &= u[:, j + 1] < probs[j]
-        counts[j] = np.count_nonzero(alive)
-    return counts
+    n, size = config.photon_count, _CHUNK_SIZE
+    first_axis = config.stack.radians[0]
+    passed = 0
+    for start in range(first_chunk * size, n, stride * size):
+        count, odd = min(size, n - start), start % 2
+        bg = np.random.Philox(key=config.seed, counter=[start // 2, 0, 0, 0])
+        u = np.random.Generator(bg).random((count + odd, 2))[odd:]
+        if config.input.is_unpolarized:
+            c = np.cos(np.pi * u[:, 1] - first_axis)
+            passed += int(np.count_nonzero(u[:, 0] < c * c))
+        else:
+            passed += int(np.count_nonzero(u[:, 0] < p_first))
+    return passed
 
 
 def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloReport:
-    """Sample individual photons through the stack.
+    """Sample photons through the stack.
 
-    Each photon draws a plane angle uniform on [0, pi) if the input is
-    unpolarized, then at each filter draws u uniform on [0, 1) and passes
-    iff u < its Born-rule pass probability, collapsing onto the filter
-    axis. All randomness comes from a dedicated counter-based stream per
-    photon keyed by (seed, photon index), and per-stage survivor counts
-    reduce by integer addition, so the report is bit-identical for a fixed
-    config regardless of worker count or execution order.
+    Only the first filter is sampled photon by photon, because it is the
+    one stage where a photon's own plane matters: an unpolarized photon
+    takes a plane angle uniform on [0, pi) and passes iff a uniform draw is
+    below cos^2 of its angle to the axis; a polarized photon passes iff the
+    draw is below the Born-rule probability. Every survivor is collapsed
+    onto the filter axis, so from then on its chance of passing filter j
+    is the Born-rule p_j whatever its history, and the survivor counts are
+    exactly the chain Binomial(survivors, p_j) for j = 2..S. One Philox
+    stream keyed by the seed at counter [0, 0, 1, 0], disjoint from every
+    photon's block, draws that chain in stage order (numpy's BTPE
+    binomial) and stops once no photon is left.
+
+    Memory is O(chunk x workers) and work O(photons + stages). Stage-1
+    counts reduce by integer addition and the chain runs once after, so the
+    report is bit-identical for a fixed config whatever the worker count,
+    chunk size or execution order. At most min(workers, chunks, CPUs)
+    threads run, each summing a strided share of the chunks.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -323,22 +326,25 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
         transmitted = n
     else:
         probs = _born_probabilities(config.input, stack.radians)
-        chunks = [
-            (start, min(_CHUNK_SIZE, n - start)) for start in range(0, n, _CHUNK_SIZE)
-        ]
+        n_chunks = -(-n // _CHUNK_SIZE)
+        threads = _effective_workers(workers, n_chunks, os.cpu_count())
 
-        def work(chunk: tuple[int, int]) -> np.ndarray:
-            start, count = chunk
-            return _survivors_in_chunk(config, start, count, probs)
+        def share(k: int) -> int:
+            return _first_stage_survivors(config, probs[0], k, threads)
 
-        if workers == 1 or len(chunks) == 1:
-            partials = [work(c) for c in chunks]
+        if threads == 1:
+            survivors = share(0)
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                partials = list(pool.map(work, chunks))
-        totals = np.sum(partials, axis=0, dtype=np.int64)
-        counts = tuple(int(c) for c in totals)
-        transmitted = counts[-1]
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                survivors = sum(pool.map(share, range(threads)))
+        chain = np.random.Generator(np.random.Philox(key=config.seed, counter=_CHAIN_COUNTER))
+        survivor_counts = [survivors]
+        for p in probs[1:]:
+            if survivors:
+                survivors = int(chain.binomial(survivors, p))
+            survivor_counts.append(survivors)
+        counts = tuple(survivor_counts)
+        transmitted = survivors
     estimate = transmitted / n
     stderr = math.sqrt(estimate * (1.0 - estimate) / n)
     return MonteCarloReport(

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from polcascade import cli
 from polcascade.cli import (
     ExperimentSpec,
     UsageError,
@@ -46,8 +47,9 @@ class TestParseSpec:
         assert spec.seed == 42
 
     def test_zero_photons_rejected(self):
-        with pytest.raises(UsageError, match="--photons"):
-            parse_spec(["--filters", "0,45,90", "--mode", "mc", "--photons", "0"])
+        for photons in ("0", str(2**63)):
+            with pytest.raises(UsageError, match="--photons"):
+                parse_spec(["--filters", "0,45,90", "--mode", "mc", "--photons", photons])
 
     def test_linear_input(self):
         spec = parse_spec(["--mode", "quantum", "--input", "linear:30.5"])
@@ -246,6 +248,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 2
         assert "--photons" in err
+
+    def test_internal_error_run(self, capsys, monkeypatch):
+        def crash(config, workers):
+            raise MemoryError("no room for photons")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", crash)
+        code = main(["--filters", "0,45,90", "--mode", "mc", "--photons", "10"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "polcascade: internal error: MemoryError: no room for photons\n"
 
     def test_mc_run_deterministic_output(self, capsys):
         argv = ["--filters", "0,45,90", "--mode", "mc", "--photons", "50000", "--seed", "11"]

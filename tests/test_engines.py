@@ -1,6 +1,7 @@
 """Tests for the whole-stack engines and their mutual consistency."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ class TestCompare:
 
 class TestMonteCarlo:
     def test_rejects_zero_photons(self):
-        for count in (0, True, 1000.0):
+        for count in (0, True, 1000.0, 2**63):
             with pytest.raises(ValueError):
                 MonteCarloConfig(
                     photon_count=count, seed=1, input=PhotonInput.unpolarized(), stack=stack_of(0)
@@ -364,6 +365,84 @@ class TestMonteCarlo:
         monkeypatch.setattr(engines, "_CHUNK_SIZE", chunk)
         for workers in (1, 2):
             assert run_monte_carlo(config, workers=workers) == expected
+
+    def test_effective_workers_capped_by_chunks_and_cpus(self):
+        assert engines._effective_workers(100_000, 150_000, 2) == 2
+        assert engines._effective_workers(8, 3, 64) == 3
+        assert engines._effective_workers(1, 10, 64) == 1
+        assert engines._effective_workers(4, 10, None) == 1
+
+    def test_pool_gets_capped_workers(self, monkeypatch):
+        # an inline stand-in for the thread pool: no thread is started
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        config = MonteCarloConfig(
+            photon_count=10 * engines._CHUNK_SIZE + 1,
+            seed=99,
+            input=PhotonInput.unpolarized(),
+            stack=stack_of(10, 40),
+        )
+        expected = run_monte_carlo(config)
+        monkeypatch.setattr(engines, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(engines.os, "cpu_count", lambda: 3)
+        assert run_monte_carlo(config, workers=100_000) == expected
+        assert requested == [3]
+
+    def test_stage_survival_is_binomial_over_many_seeds(self):
+        # given the count before it, each stage's count is Binomial(count, p_j):
+        # pooled over seeds the pass fraction matches p_j, and its spread
+        # across seeds is binomial (a chain that rounded count * p_j would
+        # pass the first check and fail the second). Stage 1 is unpolarized
+        # input at an odd axis, which must pass exactly half.
+        stats = pytest.importorskip("scipy.stats")
+        stack = stack_of(33.7, 60, 100, 150, 20, 65)
+        probs = run_quantum_exact(PhotonInput.unpolarized(), stack).stage_pass_probability
+        assert probs[0] == 0.5
+        n, seeds = 5000, range(200)
+
+        def counts_for(seed):
+            config = MonteCarloConfig(
+                photon_count=n, seed=seed, input=PhotonInput.unpolarized(), stack=stack
+            )
+            return (n, *run_monte_carlo(config).per_stage_survivor_counts)
+
+        counts = np.array([counts_for(seed) for seed in seeds])
+        for j, p in enumerate(probs):
+            before, after = counts[:, j], counts[:, j + 1]
+            assert stats.binomtest(int(after.sum()), int(before.sum()), p).pvalue > 1e-4
+            chi2 = np.sum((after - before * p) ** 2 / (before * p * (1.0 - p)))
+            assert 1e-4 < stats.chi2.cdf(chi2, len(seeds)) < 1.0 - 1e-4
+
+    def test_memory_is_bounded_by_the_chunk_not_the_stack(self):
+        # one double per photon per filter in a 65 536-photon chunk would be
+        # ~160 MB for this stack
+        config = MonteCarloConfig(
+            photon_count=70_000,
+            seed=3,
+            input=PhotonInput.unpolarized(),
+            stack=FilterStack(np.linspace(0.0, np.pi / 2, 300)),
+        )
+        tracemalloc.start()
+        try:
+            report = run_monte_carlo(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.transmitted_count > 0
+        assert peak < 8 * 2**20
 
     def test_report_invariants(self):
         rng = np.random.default_rng(31)
