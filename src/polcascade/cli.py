@@ -4,6 +4,10 @@ Angles cross this boundary in degrees and are converted to radians once,
 when the filter stack is built. Reports go to stdout (TSV or plain text),
 diagnostics to stderr. Exit codes: 0 success (including a passing
 compare), 1 compare failure, 2 usage error, 3 internal error.
+
+Each result kind only builds a table (stack, TSV columns and footer, text
+heading, cells and summary); one writer lays every table out in either
+format, so the row layouts and number formatting live in one place.
 """
 
 from __future__ import annotations
@@ -63,6 +67,9 @@ class ExperimentSpec:
         if self.input_kind == "linear":
             if self.input_angle_deg is None or not math.isfinite(self.input_angle_deg):
                 raise UsageError("linear input needs a finite angle in degrees")
+        elif self.input_angle_deg is not None:
+            # --input=unpolarized carries no angle, so to_argv could not round-trip it
+            raise UsageError("unpolarized input takes no angle")
         for a in self.filters_deg:
             if not math.isfinite(a):
                 raise UsageError(f"filter angle must be finite, got {a!r}")
@@ -206,7 +213,7 @@ def parse_spec(argv: list[str], stack_file_text: str | None = None) -> Experimen
         try:
             with open(ns.stack_file, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"--stack-file: cannot read {ns.stack_file!r}: {exc}") from None
         filters = parse_stack_text(text, source=ns.stack_file)
     else:
@@ -241,29 +248,46 @@ def _num(x: float) -> str:
     return format(float(x), ".12g")
 
 
+@dataclass(frozen=True)
+class _Table:
+    """One result, one row per filter; :func:`_write` lays it out.
+
+    `tsv_columns` fill the three value columns (`None` is a column of `-`);
+    `text_cells` are (template, column) pairs such as
+    ``("intensity %s", column)``. Cells are numbers, `None` for `-`, or
+    strings written as they are.
+    """
+
+    stack: FilterStack
+    tsv_columns: tuple
+    tsv_footer: list[str]
+    heading: str
+    text_cells: list[tuple[str, object]]
+    summary: str
+
+
 def _cells(column, n: int) -> list[str]:
     # one formatted cell per stage; `-` where the engine has no value
     if column is None:
         return ["-"] * n
-    if isinstance(column, np.ndarray):
-        column = column.tolist()
-    return ["-" if x is None else _num(x) for x in column]
+    if isinstance(column, np.ndarray):  # an exact engine's column has every cell
+        return [_num(x) for x in column.tolist()]
+    return ["-" if x is None else x if isinstance(x, str) else _num(x) for x in column]
 
 
-def _stage_cells(stack: FilterStack, *columns) -> list[tuple[str, ...]]:
-    """Rows of (stage, axis_deg, *column cells), one per filter."""
-    n = len(stack)
-    return list(
-        zip(
-            [str(i) for i in range(1, n + 1)],
-            _cells(np.degrees(stack.radians), n),
-            *(_cells(c, n) for c in columns),
-        )
-    )
-
-
-def _tsv(rows: list[tuple[str, ...]], footer: list[str]) -> str:
-    return "\n".join([_TSV_HEADER, *("\t".join(r) for r in rows), *footer]) + "\n"
+def _write(table: _Table, output_format: str) -> str:
+    """Lay a table out as TSV or text; only here are the row layouts known."""
+    if output_format not in _FORMATS:
+        raise ValueError(f"unknown format {output_format!r}")
+    n = len(table.stack)
+    stages = [str(i) for i in range(1, n + 1)]
+    axes = _cells(np.degrees(table.stack.radians), n)
+    if output_format == "tsv":
+        rows = zip(stages, axes, *(_cells(c, n) for c in table.tsv_columns))
+        return "\n".join([_TSV_HEADER, *map("\t".join, rows), *table.tsv_footer]) + "\n"
+    row = ", ".join(["  stage %s: axis %s deg", *(t for t, _ in table.text_cells)])
+    rows = zip(stages, axes, *(_cells(c, n) for _, c in table.text_cells))
+    return "\n".join([table.heading, *(row % r for r in rows), table.summary]) + "\n"
 
 
 def render_trace(result: CascadeTrace | MonteCarloReport, output_format: str = "tsv") -> str:
@@ -272,58 +296,46 @@ def render_trace(result: CascadeTrace | MonteCarloReport, output_format: str = "
     TSV rows carry the per-stage numbers with `-` for cells the engine does
     not produce; Monte Carlo rows show the empirical per-stage fractions.
     """
-    if output_format not in _FORMATS:
-        raise ValueError(f"unknown format {output_format!r}")
-    if isinstance(result, MonteCarloReport):
-        return _render_mc(result, output_format)
-    return _render_cascade(result, output_format)
+    table = _mc_table(result) if isinstance(result, MonteCarloReport) else _cascade_table(result)
+    return _write(table, output_format)
 
 
-def _render_cascade(trace: CascadeTrace, output_format: str) -> str:
-    columns = {
-        "intensity": trace.classical_intensity_after,
-        "pass prob": trace.stage_pass_probability,
-        "cumulative": trace.cumulative_probability,
-    }
+def _cascade_table(trace: CascadeTrace) -> _Table:
+    columns = (trace.classical_intensity_after, trace.stage_pass_probability,
+               trace.cumulative_probability)
+    templates = ("intensity %s", "pass prob %s", "cumulative %s")
     final = _num(trace.final_transmitted_fraction)
-    if output_format == "tsv":
-        return _tsv(_stage_cells(trace.stack, *columns.values()), [f"# final_fraction={final}"])
-    present = {label: c for label, c in columns.items() if c is not None}
-    lines = [_describe_input(trace.input_description)]
-    for stage, axis, *cells in _stage_cells(trace.stack, *present.values()):
-        values = [f"{label} {v}" for label, v in zip(present, cells)]
-        lines.append(", ".join([f"  stage {stage}: axis {axis} deg", *values]))
-    lines.append(f"transmitted fraction: {final}")
-    return "\n".join(lines) + "\n"
+    return _Table(
+        stack=trace.stack,
+        tsv_columns=columns,
+        tsv_footer=[f"# final_fraction={final}"],
+        heading=_describe_input(trace.input_description),
+        text_cells=[(t, c) for t, c in zip(templates, columns) if c is not None],
+        summary=f"transmitted fraction: {final}",
+    )
 
 
-def _render_mc(report: MonteCarloReport, output_format: str) -> str:
+def _mc_table(report: MonteCarloReport) -> _Table:
     n = report.photon_count
     counts = report.per_stage_survivor_counts
     before = (n, *counts[:-1])
-    lo, hi = report.confidence_interval_95
-    if output_format == "tsv":
-        stage_frac = [c / p if p > 0 else None for c, p in zip(counts, before)]
-        rows = _stage_cells(report.config.stack, None, stage_frac, [c / n for c in counts])
-        return _tsv(
-            rows,
-            [
-                f"# final_fraction={_num(report.estimate)}",
-                f"# estimate={_num(report.estimate)} stderr={_num(report.standard_error)} "
-                f"ci95={_num(lo)},{_num(hi)} seed={report.seed}",
-            ],
-        )
-    lines = [
-        _describe_input(report.config.input) + f", {n} photons, seed {report.seed}"
-    ]
-    for (stage, axis), c, p in zip(_stage_cells(report.config.stack), counts, before):
-        lines.append(f"  stage {stage}: axis {axis} deg, {c} of {p} photons passed")
-    lines.append(
-        f"transmitted fraction: {_num(report.estimate)} "
-        f"(stderr {_num(report.standard_error)}, "
-        f"95% CI [{_num(lo)}, {_num(hi)}])"
+    estimate, stderr = _num(report.estimate), _num(report.standard_error)
+    lo, hi = (_num(x) for x in report.confidence_interval_95)
+    return _Table(
+        stack=report.config.stack,
+        tsv_columns=(
+            None,
+            [c / p if p > 0 else None for c, p in zip(counts, before)],
+            [c / n for c in counts],
+        ),
+        tsv_footer=[
+            f"# final_fraction={estimate}",
+            f"# estimate={estimate} stderr={stderr} ci95={lo},{hi} seed={report.seed}",
+        ],
+        heading=_describe_input(report.config.input) + f", {n} photons, seed {report.seed}",
+        text_cells=[("%s photons passed", [f"{c} of {p}" for c, p in zip(counts, before)])],
+        summary=f"transmitted fraction: {estimate} (stderr {stderr}, 95% CI [{lo}, {hi}])",
     )
-    return "\n".join(lines) + "\n"
 
 
 def render_comparison(
@@ -334,37 +346,22 @@ def render_comparison(
 ) -> str:
     """Render a classical and a quantum trace side by side with the verdict."""
     verdict = "pass" if report.passed else "fail"
-    if output_format == "tsv":
-        rows = _stage_cells(
-            classical.stack,
-            classical.classical_intensity_after,
-            quantum.stage_pass_probability,
-            quantum.cumulative_probability,
-        )
-        return _tsv(
-            rows,
-            [
-                f"# final_fraction={_num(classical.final_transmitted_fraction)}",
-                f"# compare={verdict} max_diff={_num(report.max_difference)} "
-                f"tolerance={_num(report.tolerance)}",
-            ],
-        )
-    rows = _stage_cells(
-        classical.stack, classical.classical_intensity_after, quantum.cumulative_probability
+    intensity, cumulative = classical.classical_intensity_after, quantum.cumulative_probability
+    final, quantum_final = (_num(t.final_transmitted_fraction) for t in (classical, quantum))
+    max_diff, tolerance = _num(report.max_difference), _num(report.tolerance)
+    table = _Table(
+        stack=classical.stack,
+        tsv_columns=(intensity, quantum.stage_pass_probability, cumulative),
+        tsv_footer=[
+            f"# final_fraction={final}",
+            f"# compare={verdict} max_diff={max_diff} tolerance={tolerance}",
+        ],
+        heading=_describe_input(classical.input_description),
+        text_cells=[("intensity %s", intensity), ("cumulative prob %s", cumulative)],
+        summary=f"classical fraction {final} vs quantum probability {quantum_final}: "
+        f"{verdict} (max diff {max_diff}, tolerance {tolerance})",
     )
-    lines = [_describe_input(classical.input_description)]
-    for stage, axis, intensity, cumulative in rows:
-        lines.append(
-            f"  stage {stage}: axis {axis} deg, "
-            f"intensity {intensity}, cumulative prob {cumulative}"
-        )
-    lines.append(
-        f"classical fraction {_num(classical.final_transmitted_fraction)} vs "
-        f"quantum probability {_num(quantum.final_transmitted_fraction)}: "
-        f"{verdict} (max diff {_num(report.max_difference)}, "
-        f"tolerance {_num(report.tolerance)})"
-    )
-    return "\n".join(lines) + "\n"
+    return _write(table, output_format)
 
 
 def _describe_input(desc: ClassicalBeam | PhotonInput) -> str:

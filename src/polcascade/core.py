@@ -51,10 +51,6 @@ class Angle:
             v = 0.0
         object.__setattr__(self, "radians", v)
 
-    @classmethod
-    def from_degrees(cls, degrees: float) -> Angle:
-        return cls(math.radians(degrees))
-
     @property
     def degrees(self) -> float:
         return math.degrees(self.radians)

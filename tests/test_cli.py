@@ -281,3 +281,176 @@ class TestComparisonRendering:
         assert lines[3] == "3\t90\t0.125\t0.5\t0.125"
         assert lines[4] == "# final_fraction=0.125"
         assert lines[5].startswith("# compare=pass")
+
+
+TSV_HEADER = "stage\taxis_deg\tclassical_intensity\tstage_prob\tcumulative_prob\n"
+
+# exact stdout of `--filters 0,45,90 --mode MODE --input INPUT --format FORMAT`
+GOLDEN = {
+    ("classical", "unpolarized", "tsv"): TSV_HEADER
+    + "1\t0\t0.5\t-\t-\n"
+    "2\t45\t0.25\t-\t-\n"
+    "3\t90\t0.125\t-\t-\n"
+    "# final_fraction=0.125\n",
+    ("classical", "unpolarized", "text"): "input: unpolarized, intensity 1\n"
+    "  stage 1: axis 0 deg, intensity 0.5\n"
+    "  stage 2: axis 45 deg, intensity 0.25\n"
+    "  stage 3: axis 90 deg, intensity 0.125\n"
+    "transmitted fraction: 0.125\n",
+    ("classical", "linear:10", "tsv"): TSV_HEADER
+    + "1\t0\t0.969846310393\t-\t-\n"
+    "2\t45\t0.484923155196\t-\t-\n"
+    "3\t90\t0.242461577598\t-\t-\n"
+    "# final_fraction=0.242461577598\n",
+    ("classical", "linear:10", "text"): "input: linear at 10 deg, intensity 1\n"
+    "  stage 1: axis 0 deg, intensity 0.969846310393\n"
+    "  stage 2: axis 45 deg, intensity 0.484923155196\n"
+    "  stage 3: axis 90 deg, intensity 0.242461577598\n"
+    "transmitted fraction: 0.242461577598\n",
+    ("quantum", "unpolarized", "tsv"): TSV_HEADER
+    + "1\t0\t-\t0.5\t0.5\n"
+    "2\t45\t-\t0.5\t0.25\n"
+    "3\t90\t-\t0.5\t0.125\n"
+    "# final_fraction=0.125\n",
+    ("quantum", "unpolarized", "text"): "input: unpolarized photons\n"
+    "  stage 1: axis 0 deg, pass prob 0.5, cumulative 0.5\n"
+    "  stage 2: axis 45 deg, pass prob 0.5, cumulative 0.25\n"
+    "  stage 3: axis 90 deg, pass prob 0.5, cumulative 0.125\n"
+    "transmitted fraction: 0.125\n",
+    ("quantum", "linear:10", "tsv"): TSV_HEADER
+    + "1\t0\t-\t0.969846310393\t0.969846310393\n"
+    "2\t45\t-\t0.5\t0.484923155196\n"
+    "3\t90\t-\t0.5\t0.242461577598\n"
+    "# final_fraction=0.242461577598\n",
+    ("quantum", "linear:10", "text"): "input: photons polarized at 10 deg\n"
+    "  stage 1: axis 0 deg, pass prob 0.969846310393, cumulative 0.969846310393\n"
+    "  stage 2: axis 45 deg, pass prob 0.5, cumulative 0.484923155196\n"
+    "  stage 3: axis 90 deg, pass prob 0.5, cumulative 0.242461577598\n"
+    "transmitted fraction: 0.242461577598\n",
+    ("compare", "unpolarized", "tsv"): TSV_HEADER
+    + "1\t0\t0.5\t0.5\t0.5\n"
+    "2\t45\t0.25\t0.5\t0.25\n"
+    "3\t90\t0.125\t0.5\t0.125\n"
+    "# final_fraction=0.125\n"
+    "# compare=pass max_diff=5.55111512313e-17 tolerance=1e-09\n",
+    ("compare", "unpolarized", "text"): "input: unpolarized, intensity 1\n"
+    "  stage 1: axis 0 deg, intensity 0.5, cumulative prob 0.5\n"
+    "  stage 2: axis 45 deg, intensity 0.25, cumulative prob 0.25\n"
+    "  stage 3: axis 90 deg, intensity 0.125, cumulative prob 0.125\n"
+    "classical fraction 0.125 vs quantum probability 0.125: "
+    "pass (max diff 5.55111512313e-17, tolerance 1e-09)\n",
+    ("compare", "linear:10", "tsv"): TSV_HEADER
+    + "1\t0\t0.969846310393\t0.969846310393\t0.969846310393\n"
+    "2\t45\t0.484923155196\t0.5\t0.484923155196\n"
+    "3\t90\t0.242461577598\t0.5\t0.242461577598\n"
+    "# final_fraction=0.242461577598\n"
+    "# compare=pass max_diff=1.11022302463e-16 tolerance=1e-09\n",
+    ("compare", "linear:10", "text"): "input: linear at 10 deg, intensity 1\n"
+    "  stage 1: axis 0 deg, intensity 0.969846310393, cumulative prob 0.969846310393\n"
+    "  stage 2: axis 45 deg, intensity 0.484923155196, cumulative prob 0.484923155196\n"
+    "  stage 3: axis 90 deg, intensity 0.242461577598, cumulative prob 0.242461577598\n"
+    "classical fraction 0.242461577598 vs quantum probability 0.242461577598: "
+    "pass (max diff 1.11022302463e-16, tolerance 1e-09)\n",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("mode,input_kind,fmt", sorted(GOLDEN))
+    def test_exact_bytes(self, capsys, mode, input_kind, fmt):
+        argv = ["--filters", "0,45,90", "--mode", mode, "--input", input_kind, "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == GOLDEN[mode, input_kind, fmt]
+
+    # MC counts are not pinned: each row is checked against the report itself
+    @pytest.mark.parametrize(
+        "filters,input_kind",
+        [("0,45,90", "unpolarized"), ("0,45,90", "linear:10"), ("90,45", "linear:0")],
+    )
+    def test_mc_rows_match_counts(self, filters, input_kind):
+        def num(x):
+            return format(x, ".12g")
+
+        base = ["--filters", filters, "--mode", "mc", "--input", input_kind, "--photons", "1000"]
+        tsv, report = run_experiment(parse_spec(base + ["--format", "tsv"]))
+        text, _ = run_experiment(parse_spec(base + ["--format", "text"]))
+        n = report.photon_count
+        axes = filters.split(",")
+        counts = report.per_stage_survivor_counts
+        before = (n, *counts[:-1])
+        assert len(counts) == len(axes)
+        lo, hi = report.confidence_interval_95
+        est, err = num(report.estimate), num(report.standard_error)
+
+        tsv_lines = tsv.splitlines()
+        assert tsv_lines[0] + "\n" == TSV_HEADER
+        for i, (axis, c, p) in enumerate(zip(axes, counts, before), start=1):
+            stage_prob = num(c / p) if p else "-"
+            assert tsv_lines[i] == f"{i}\t{axis}\t-\t{stage_prob}\t{num(c / n)}"
+        assert tsv_lines[len(axes) + 1:] == [
+            f"# final_fraction={est}",
+            f"# estimate={est} stderr={err} ci95={num(lo)},{num(hi)} seed=42",
+        ]
+
+        text_lines = text.splitlines()
+        assert text_lines[0].endswith(", 1000 photons, seed 42")
+        for i, (axis, c, p) in enumerate(zip(axes, counts, before), start=1):
+            assert text_lines[i] == f"  stage {i}: axis {axis} deg, {c} of {p} photons passed"
+        assert text_lines[len(axes) + 1:] == [
+            f"transmitted fraction: {est} (stderr {err}, 95% CI [{num(lo)}, {num(hi)}])"
+        ]
+
+
+class TestRenderFormat:
+    def test_unknown_format_rejected_by_both_renderers(self):
+        stack = FilterStack.from_degrees([0, 45, 90])
+        classical = run_classical(ClassicalBeam.unpolarized(1.0), stack)
+        quantum = run_quantum_exact(PhotonInput.unpolarized(), stack)
+        report = compare(classical, quantum, 1e-9)
+        with pytest.raises(ValueError, match="json"):
+            render_trace(classical, "json")
+        with pytest.raises(ValueError, match="json"):
+            render_comparison(classical, quantum, report, "json")
+
+
+class TestInputValidation:
+    def test_non_utf8_stack_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "stack.bin"
+        path.write_bytes(b"0\n\xff\n")
+        assert main(["--stack-file", str(path), "--mode", "classical"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("polcascade: error: --stack-file: cannot read")
+        assert "stack.bin" in err
+
+    def test_unpolarized_input_takes_no_angle(self):
+        with pytest.raises(UsageError, match="unpolarized"):
+            ExperimentSpec(mode="quantum", input_kind="unpolarized", input_angle_deg=30.0)
+
+
+class TestBenchmarkHooks:
+    # the benchmark times rendering by replacing these two module attributes,
+    # so run_experiment must look them up on the module on every call
+    @pytest.mark.parametrize(
+        "mode,expected",
+        [
+            ("classical", "render_trace"),
+            ("quantum", "render_trace"),
+            ("mc", "render_trace"),
+            ("compare", "render_comparison"),
+        ],
+    )
+    def test_run_experiment_calls_the_module_renderer(self, monkeypatch, mode, expected):
+        calls = []
+
+        def recorder(name):
+            def record(*args):
+                calls.append(name)
+                return name
+
+            return record
+
+        monkeypatch.setattr(cli, "render_trace", recorder("render_trace"))
+        monkeypatch.setattr(cli, "render_comparison", recorder("render_comparison"))
+        argv = ["--filters", "0,45,90", "--mode", mode, "--photons", "100"]
+        output, _ = run_experiment(parse_spec(argv))
+        assert calls == [expected]
+        assert output == expected

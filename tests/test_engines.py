@@ -564,6 +564,18 @@ class TestStaircase:
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] > 0.99
 
+    def test_million_filters_keep_precision(self):
+        # the folds multiply 10**6 factors near 1; the closed form in log1p
+        # space is accurate to a few ulps, so this bounds the accumulated error
+        n = 10**6
+        quantum = staircase_transmission(n, deg(0), deg(90))
+        classical = run_classical(ClassicalBeam.linear(deg(0), 1.0), quantum.stack)
+        closed = math.exp(n * math.log1p(-math.sin((math.pi / 2) / n) ** 2))
+        assert abs(quantum.final_transmitted_fraction - closed) <= 1e-9
+        assert abs(classical.final_transmitted_fraction - closed) <= 1e-9
+        gap = np.abs(classical.classical_intensity_after - quantum.cumulative_probability)
+        assert gap.max() <= 1e-9
+
     def test_descending_staircase(self):
         up = staircase_transmission(8, deg(0), deg(90)).final_transmitted_fraction
         down = staircase_transmission(8, deg(90), deg(0)).final_transmitted_fraction
