@@ -7,7 +7,10 @@ compare), 1 compare failure, 2 usage error, 3 internal error.
 
 Each result kind only builds a table (stack, TSV columns and footer, text
 heading, cells and summary); one writer lays every table out in either
-format, so the row layouts and number formatting live in one place.
+format, so the row layouts and number formatting live in one place. The
+writer fills one printf template per row and formats one block of rows at a
+time, so a long stack holds the output and one block of cells, not one
+string per cell.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .engines import (
     MonteCarloConfig,
     MonteCarloReport,
     PhotonInput,
+    _as_int,
     compare,
     run_classical,
     run_monte_carlo,
@@ -36,6 +40,9 @@ _MODES = ("classical", "quantum", "mc", "compare")
 _FORMATS = ("tsv", "text")
 
 _TSV_HEADER = "stage\taxis_deg\tclassical_intensity\tstage_prob\tcumulative_prob"
+
+# rows formatted and joined at a time: bounds the cells and row strings alive at once
+_BLOCK_ROWS = 4096
 
 
 class UsageError(ValueError):
@@ -73,6 +80,12 @@ class ExperimentSpec:
         for a in self.filters_deg:
             if not math.isfinite(a):
                 raise UsageError(f"filter angle must be finite, got {a!r}")
+        for name in ("photons", "seed", "workers"):
+            # an integer, as MonteCarloConfig takes it, so to_argv round-trips
+            value = _as_int(getattr(self, name))
+            if value is None:
+                raise UsageError(f"--{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if not math.isfinite(self.intensity) or self.intensity <= 0.0:
             raise UsageError(f"--intensity must be > 0, got {self.intensity!r}")
         if self.mode == "mc" and not 1 <= self.photons < 2**63:
@@ -180,18 +193,23 @@ def parse_stack_text(text: str, source: str = "stack file") -> tuple[float, ...]
 
     `#` begins a comment and blank lines are ignored.
     """
-    angles = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            angles.append(float(line))
-        except ValueError:
-            raise UsageError(
-                f"{source} line {lineno}: not an angle in degrees: {line!r}"
-            ) from None
-    return tuple(angles)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    try:
+        # float() strips the same whitespace as str.strip()
+        return tuple(map(float, filter(str.strip, lines)))
+    except ValueError:
+        # scan again only to name the first bad line
+        for lineno, line in enumerate(map(str.strip, lines), start=1):
+            try:
+                if line:
+                    float(line)
+            except ValueError:
+                raise UsageError(
+                    f"{source} line {lineno}: not an angle in degrees: {line!r}"
+                ) from None
+        raise
 
 
 def parse_spec(argv: list[str], stack_file_text: str | None = None) -> ExperimentSpec:
@@ -254,8 +272,9 @@ class _Table:
 
     `tsv_columns` fill the three value columns (`None` is a column of `-`);
     `text_cells` are (template, column) pairs such as
-    ``("intensity %s", column)``. Cells are numbers, `None` for `-`, or
-    strings written as they are.
+    ``("intensity %s", column)``. A column is a numpy array of numbers or
+    a list whose cells are numbers, `None` for `-`, or strings written as
+    they are.
     """
 
     stack: FilterStack
@@ -266,28 +285,44 @@ class _Table:
     summary: str
 
 
-def _cells(column, n: int) -> list[str]:
-    # one formatted cell per stage; `-` where the engine has no value
+def _field(column) -> str:
+    # printf field of one column: numpy columns format in the row template
     if column is None:
-        return ["-"] * n
-    if isinstance(column, np.ndarray):  # an exact engine's column has every cell
-        return [_num(x) for x in column.tolist()]
+        return "-"
+    return "%.12g" if isinstance(column, np.ndarray) else "%s"
+
+
+def _cells(column: list) -> list[str]:
+    # a Monte Carlo column: numbers, `None` for `-`, or strings written as they are
     return ["-" if x is None else x if isinstance(x, str) else _num(x) for x in column]
 
 
 def _write(table: _Table, output_format: str) -> str:
-    """Lay a table out as TSV or text; only here are the row layouts known."""
+    """Lay a table out as TSV or text; only here are the row layouts known.
+
+    Each row is one `%` of a template; rows are formatted and joined one
+    block at a time, so only one block of cells is alive at once.
+    """
     if output_format not in _FORMATS:
         raise ValueError(f"unknown format {output_format!r}")
-    n = len(table.stack)
-    stages = [str(i) for i in range(1, n + 1)]
-    axes = _cells(np.degrees(table.stack.radians), n)
     if output_format == "tsv":
-        rows = zip(stages, axes, *(_cells(c, n) for c in table.tsv_columns))
-        return "\n".join([_TSV_HEADER, *map("\t".join, rows), *table.tsv_footer]) + "\n"
-    row = ", ".join(["  stage %s: axis %s deg", *(t for t, _ in table.text_cells)])
-    rows = zip(stages, axes, *(_cells(c, n) for _, c in table.text_cells))
-    return "\n".join([table.heading, *(row % r for r in rows), table.summary]) + "\n"
+        head, columns, foot = _TSV_HEADER, table.tsv_columns, table.tsv_footer
+        row = "\t".join(["%d\t%.12g", *map(_field, columns)])
+    else:
+        head, columns, foot = table.heading, [c for _, c in table.text_cells], [table.summary]
+        row = ", ".join(["  stage %d: axis %.12g deg",
+                         *(t.replace("%s", _field(c)) for t, c in table.text_cells)])
+    columns = [c for c in columns if c is not None]
+    axes = np.degrees(table.stack.radians)
+    blocks = []
+    for lo in range(0, len(axes), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        cells = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else _cells(c[lo:hi])
+                 for c in columns]
+        rows = zip(range(lo + 1, hi + 1), axes[lo:hi].tolist(), *cells)
+        blocks.append("\n".join([row % r for r in rows]))
+    # the trailing "" ends the output with a newline without copying it again
+    return "\n".join([head, *blocks, *foot, ""])
 
 
 def render_trace(result: CascadeTrace | MonteCarloReport, output_format: str = "tsv") -> str:

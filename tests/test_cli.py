@@ -1,5 +1,9 @@
 """Tests for command-line parsing, rendering, and exit codes."""
 
+import re
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -111,10 +115,66 @@ class TestStackFile:
         spec = parse_spec(["--stack-file", str(path), "--mode", "classical"])
         assert spec.filters_deg == (0.0, 45.0, 90.0)
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("0\r\n45\r\n90\r\n", (0.0, 45.0, 90.0)),
+            ("0\n   \n\t\n45\n \r\n", (0.0, 45.0)),
+            ("12.5  # note\n", (12.5,)),
+            ("0\n45", (0.0, 45.0)),
+            ("", ()),
+        ],
+        ids=["crlf", "whitespace-lines", "trailing-comment", "no-final-newline", "empty"],
+    )
+    def test_line_forms(self, text, expected):
+        assert parse_stack_text(text) == expected
+
+    def test_bad_line_deep_in_long_file_is_located(self):
+        lines = [f"{i * 0.25}" for i in range(10_000)]
+        lines[8_999] = "  9x  # typo"
+        with pytest.raises(UsageError) as info:
+            parse_stack_text("\n".join(lines) + "\n", source="walk.txt")
+        assert str(info.value) == "walk.txt line 9000: not an angle in degrees: '9x'"
+
+    @given(
+        lines=st.lists(
+            st.sampled_from(
+                ["0", " 12.5 ", "-1e3", "45  # note", "# only", "", "  ", "\t", "x",
+                 "1_0", "inf", "nan", "4#5", "\x0c", "7\r", "1 2"]
+            ),
+            max_size=12,
+        ),
+        sep=st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    def test_matches_line_by_line_reference(self, lines, sep):
+        text = sep.join(lines)
+        try:
+            expected = _parse_line_by_line(text)
+        except UsageError as exc:
+            with pytest.raises(UsageError, match=re.escape(str(exc))):
+                parse_stack_text(text)
+        else:
+            assert repr(parse_stack_text(text)) == repr(expected)  # nan != nan
+
     def test_unreadable_file_named(self, tmp_path):
         missing = tmp_path / "nope.txt"
         with pytest.raises(UsageError, match="nope.txt"):
             parse_spec(["--stack-file", str(missing), "--mode", "classical"])
+
+
+def _parse_line_by_line(text):
+    # reference: the stack-file rules applied one line at a time
+    angles = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                angles.append(float(line))
+            except ValueError:
+                raise UsageError(
+                    f"stack file line {lineno}: not an angle in degrees: {line!r}"
+                ) from None
+    return tuple(angles)
 
 
 spec_strategy = st.builds(
@@ -421,6 +481,15 @@ class TestInputValidation:
         assert err.startswith("polcascade: error: --stack-file: cannot read")
         assert "stack.bin" in err
 
+    def test_integer_fields_reject_non_integers(self):
+        for name in ("photons", "seed", "workers"):
+            for value in (10.5, 1.5, True, "3"):
+                with pytest.raises(UsageError, match=f"--{name}"):
+                    ExperimentSpec(mode="mc", **{name: value})
+            spec = ExperimentSpec(mode="mc", **{name: np.int64(3)})
+            assert type(getattr(spec, name)) is int
+            assert parse_spec(spec.to_argv()) == spec
+
     def test_unpolarized_input_takes_no_angle(self):
         with pytest.raises(UsageError, match="unpolarized"):
             ExperimentSpec(mode="quantum", input_kind="unpolarized", input_angle_deg=30.0)
@@ -454,3 +523,108 @@ class TestBenchmarkHooks:
         output, _ = run_experiment(parse_spec(argv))
         assert calls == [expected]
         assert output == expected
+
+
+def _num(x):
+    return format(x, ".12g")
+
+
+def _random_walk(n, seed=5):
+    steps = np.random.default_rng(seed).normal(0.0, 3.0, n)
+    return FilterStack.from_degrees(np.cumsum(steps).tolist())
+
+
+BLOCK = cli._BLOCK_ROWS
+
+
+class TestBlockBoundaries:
+    """Every row at and around the writer's block edges, against a reference
+    built one cell at a time."""
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_rows_match_cell_by_cell_reference(self, n):
+        degrees = np.cumsum(np.random.default_rng(n).normal(0.0, 1.0, n))
+        degrees[-2] = degrees[-3] + 90.0  # a crossed pair stops every photon
+        stack = FilterStack.from_degrees(degrees.tolist())
+        axes = [_num(a) for a in np.degrees(stack.radians).tolist()]
+        beam = ClassicalBeam.linear(angle_from_degrees(33.3), 1.0)
+        photons = PhotonInput.pure_ket(angle_from_degrees(33.3))
+        classical = run_classical(beam, stack)
+        quantum = run_quantum_exact(photons, stack)
+        report = compare(classical, quantum, 1e-9)
+        mc = run_monte_carlo(
+            MonteCarloConfig(photon_count=1000, seed=7, input=photons, stack=stack)
+        )
+        intensity = [_num(x) for x in classical.classical_intensity_after.tolist()]
+        stage_prob = [_num(x) for x in quantum.stage_pass_probability.tolist()]
+        cumulative = [_num(x) for x in quantum.cumulative_probability.tolist()]
+        counts = mc.per_stage_survivor_counts
+        before = (1000, *counts[:-1])
+        assert counts[-3] > 0 and before[-1] == 0  # the last MC stage_prob is `-`
+        mc_stage = [_num(c / p) if p else "-" for c, p in zip(counts, before)]
+        mc_cumulative = [_num(c / 1000) for c in counts]
+
+        def tsv(*columns):
+            return ["\t".join(cells) for cells in zip(map(str, range(1, n + 1)), axes, *columns)]
+
+        def text(*cells):
+            return [
+                ", ".join([f"  stage {i}: axis {a} deg", *more])
+                for i, a, *more in zip(range(1, n + 1), axes, *cells)
+            ]
+
+        dash = ["-"] * n
+        final, quantum_final = (_num(t.final_transmitted_fraction) for t in (classical, quantum))
+        max_diff = _num(report.max_difference)
+        est, err = _num(mc.estimate), _num(mc.standard_error)
+        lo, hi = (_num(x) for x in mc.confidence_interval_95)
+        cases = [
+            (render_trace(classical, "tsv"), [TSV_HEADER.rstrip("\n"),
+             *tsv(intensity, dash, dash), f"# final_fraction={final}"]),
+            (render_trace(quantum, "tsv"), [TSV_HEADER.rstrip("\n"),
+             *tsv(dash, stage_prob, cumulative), f"# final_fraction={quantum_final}"]),
+            (render_comparison(classical, quantum, report, "tsv"), [TSV_HEADER.rstrip("\n"),
+             *tsv(intensity, stage_prob, cumulative), f"# final_fraction={final}",
+             f"# compare=pass max_diff={max_diff} tolerance=1e-09"]),
+            (render_trace(mc, "tsv"), [TSV_HEADER.rstrip("\n"),
+             *tsv(dash, mc_stage, mc_cumulative), f"# final_fraction={est}",
+             f"# estimate={est} stderr={err} ci95={lo},{hi} seed=7"]),
+            (render_trace(classical, "text"), ["input: linear at 33.3 deg, intensity 1",
+             *text([f"intensity {c}" for c in intensity]),
+             f"transmitted fraction: {final}"]),
+            (render_trace(quantum, "text"), ["input: photons polarized at 33.3 deg",
+             *text([f"pass prob {c}" for c in stage_prob], [f"cumulative {c}" for c in cumulative]),
+             f"transmitted fraction: {quantum_final}"]),
+            (render_comparison(classical, quantum, report, "text"),
+             ["input: linear at 33.3 deg, intensity 1",
+              *text([f"intensity {c}" for c in intensity],
+                    [f"cumulative prob {c}" for c in cumulative]),
+              f"classical fraction {final} vs quantum probability {quantum_final}: "
+              f"pass (max diff {max_diff}, tolerance 1e-09)"]),
+            (render_trace(mc, "text"), ["input: photons polarized at 33.3 deg, 1000 photons, seed 7",
+             *text([f"{c} of {p} photons passed" for c, p in zip(counts, before)]),
+             f"transmitted fraction: {est} (stderr {err}, 95% CI [{lo}, {hi}])"]),
+        ]
+        for out, expected in cases:
+            assert out == "\n".join(expected) + "\n"
+
+    @given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_printf_matches_format(self, x):
+        assert "%.12g" % x == format(x, ".12g")
+
+
+class TestRenderMemory:
+    @pytest.mark.parametrize("fmt", ["tsv", "text"])
+    def test_peak_is_bounded_by_the_output(self, fmt):
+        stack = _random_walk(100_000)
+        classical = run_classical(ClassicalBeam.unpolarized(1.0), stack)
+        quantum = run_quantum_exact(PhotonInput.unpolarized(), stack)
+        report = compare(classical, quantum, 1e-9)
+        tracemalloc.start()
+        try:
+            out = render_comparison(classical, quantum, report, fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.count("\n") == 100_000 + (3 if fmt == "tsv" else 2)
+        assert peak < 4 * len(out)
