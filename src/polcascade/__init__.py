@@ -5,16 +5,11 @@ sampling, with a consistency check between the descriptions."""
 from .core import (
     Angle,
     ClassicalBeam,
-    DensityMatrix2,
     FilterStack,
     PolarizationKet,
-    Polarizer,
     ZeroProbabilityProjectionError,
     angle_from_degrees,
     classical_transmit,
-    density_pass_probability,
-    density_project,
-    inner_product,
     ket,
     malus_factor,
     pass_probability,
@@ -44,21 +39,16 @@ __all__ = [
     "ClassicalBeam",
     "ComparisonDomainError",
     "ComparisonReport",
-    "DensityMatrix2",
     "FilterStack",
     "MonteCarloConfig",
     "MonteCarloReport",
     "PhotonInput",
     "PolarizationKet",
-    "Polarizer",
     "StageRecord",
     "ZeroProbabilityProjectionError",
     "angle_from_degrees",
     "classical_transmit",
     "compare",
-    "density_pass_probability",
-    "density_project",
-    "inner_product",
     "ket",
     "malus_factor",
     "pass_probability",

@@ -1,9 +1,8 @@
 """Domain types and single-filter physics for ideal linear polarizers.
 
 Everything here is per-filter: the Malus cos^2 factor for classical beams,
-polarization kets with the Born-rule pass probability, projective collapse,
-and the 2x2 density-matrix treatment needed to describe unpolarized light
-exactly. They are the reference the array folds in :mod:`polcascade.engines`
+polarization kets with the Born-rule pass probability, and projective
+collapse. They are the reference the array folds in :mod:`polcascade.engines`
 are tested against; :class:`FilterStack` holds one read-only array of radians.
 
 All values are immutable after construction and every operation is a pure
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Tolerance for exact-math invariants (normalization, trace, symmetry).
+# Tolerance on the normalization of a ket.
 NORM_TOL = 1e-12
 
 # Below this pass probability a projection is treated as the physical
@@ -62,21 +61,7 @@ def angle_from_degrees(degrees: float) -> Angle:
     Reduction modulo 180 degrees happens in the Angle constructor, e.g.
     225 degrees canonicalizes to pi/4 radians.
     """
-    if not math.isfinite(degrees):
-        raise ValueError(f"angle must be finite, got {degrees!r}")
     return Angle(math.radians(degrees))
-
-
-@dataclass(frozen=True)
-class Polarizer:
-    """Ideal linear polarizer: no absorption along the axis, total
-    extinction perpendicular to it."""
-
-    axis: Angle
-
-    @classmethod
-    def from_degrees(cls, degrees: float) -> Polarizer:
-        return cls(angle_from_degrees(degrees))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +128,6 @@ class ClassicalBeam:
     def linear(cls, plane: Angle, intensity: float) -> ClassicalBeam:
         return cls(intensity=intensity, plane=plane)
 
-    @property
-    def is_polarized(self) -> bool:
-        return self.plane is not None
-
 
 def malus_factor(plane: Angle, axis: Angle) -> float:
     """Transmitted intensity fraction cos^2(axis - plane), in [0, 1].
@@ -161,8 +142,8 @@ def malus_factor(plane: Angle, axis: Angle) -> float:
     return c * c
 
 
-def classical_transmit(beam: ClassicalBeam, p: Polarizer) -> ClassicalBeam:
-    """Send a classical beam through one polarizer.
+def classical_transmit(beam: ClassicalBeam, axis: Angle) -> ClassicalBeam:
+    """Send a classical beam through an ideal polarizer at `axis`.
 
     Unpolarized light is halved and leaves polarized along the axis;
     polarized light is attenuated by the Malus factor. Output intensity
@@ -171,8 +152,8 @@ def classical_transmit(beam: ClassicalBeam, p: Polarizer) -> ClassicalBeam:
     if beam.plane is None:
         out = beam.intensity / 2.0
     else:
-        out = beam.intensity * malus_factor(beam.plane, p.axis)
-    return ClassicalBeam.linear(p.axis, out)
+        out = beam.intensity * malus_factor(beam.plane, axis)
+    return ClassicalBeam.linear(axis, out)
 
 
 @dataclass(frozen=True)
@@ -200,9 +181,6 @@ class PolarizationKet:
         object.__setattr__(self, "amp_h", h)
         object.__setattr__(self, "amp_v", v)
 
-    def __neg__(self) -> PolarizationKet:
-        return PolarizationKet(-self.amp_h, -self.amp_v)
-
 
 def ket(axis: Angle) -> PolarizationKet:
     """Polarization ket along `axis`: (cos axis, sin axis).
@@ -213,26 +191,22 @@ def ket(axis: Angle) -> PolarizationKet:
     return PolarizationKet(math.cos(axis.radians), math.sin(axis.radians))
 
 
-def inner_product(a: PolarizationKet, b: PolarizationKet) -> float:
-    """Real inner product <a|b>, clamped to [-1, 1].
+def pass_probability(state: PolarizationKet, axis: Angle) -> float:
+    """Born-rule probability |<axis|state>|^2 of passing a polarizer at `axis`.
 
-    The clamp absorbs the 1-ulp overshoot allowed by the normalization
-    tolerance.
+    The overlap is clamped to [-1, 1], which absorbs the 1-ulp overshoot
+    the normalization tolerance allows.
     """
-    dot = a.amp_h * b.amp_h + a.amp_v * b.amp_v
-    return min(1.0, max(-1.0, dot))
-
-
-def pass_probability(state: PolarizationKet, p: Polarizer) -> float:
-    """Born-rule probability |<axis|state>|^2 of passing the polarizer."""
-    c = inner_product(ket(p.axis), state)
+    k = ket(axis)
+    dot = k.amp_h * state.amp_h + k.amp_v * state.amp_v
+    c = min(1.0, max(-1.0, dot))
     return c * c
 
 
-def project(state: PolarizationKet, p: Polarizer) -> PolarizationKet:
+def project(state: PolarizationKet, axis: Angle) -> PolarizationKet:
     """Collapse `state` onto the polarizer axis after a successful pass.
 
-    Returns ket(p.axis) verbatim; the overall sign is a convention since
+    Returns ket(axis) verbatim; the overall sign is a convention since
     both signs describe the same physical state.
 
     Raises
@@ -241,75 +215,9 @@ def project(state: PolarizationKet, p: Polarizer) -> PolarizationKet:
         If the pass probability is below 1e-15: projecting a state
         orthogonal to the axis is undefined.
     """
-    if pass_probability(state, p) < ZERO_PROBABILITY_TOL:
+    if pass_probability(state, axis) < ZERO_PROBABILITY_TOL:
         raise ZeroProbabilityProjectionError(
             f"cannot project: state is orthogonal to axis at "
-            f"{p.axis.degrees!r} degrees"
+            f"{axis.degrees!r} degrees"
         )
-    return ket(p.axis)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix2:
-    """2x2 real symmetric unit-trace PSD matrix (possibly mixed state).
-
-    The identity over two describes fully unpolarized light; pure states
-    embed as outer products. Validation enforces symmetry and unit trace
-    within 1e-12 and eigenvalues >= -1e-12.
-    """
-
-    m: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.m, dtype=np.float64)
-        if m.shape != (2, 2):
-            raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix entries must be finite")
-        if abs(m[0, 1] - m[1, 0]) > NORM_TOL:
-            raise ValueError("density matrix must be symmetric")
-        if abs(m[0, 0] + m[1, 1] - 1.0) > NORM_TOL:
-            raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(m).min() < -NORM_TOL:
-            raise ValueError("density matrix must be positive semidefinite")
-        m.flags.writeable = False
-        object.__setattr__(self, "m", m)
-
-    @classmethod
-    def unpolarized(cls) -> DensityMatrix2:
-        """Fully unpolarized state I/2."""
-        return cls(np.eye(2) / 2.0)
-
-    @classmethod
-    def from_pure(cls, state: PolarizationKet) -> DensityMatrix2:
-        """Embed a pure state as the outer product |s><s|."""
-        v = np.array([state.amp_h, state.amp_v])
-        return cls(np.outer(v, v))
-
-
-def density_pass_probability(rho: DensityMatrix2, p: Polarizer) -> float:
-    """Probability <axis|rho|axis> of passing the polarizer, in [0, 1].
-
-    For rho = I/2 this is 1/2 for every axis, which is exactly the
-    classical halving of unpolarized light by the first filter.
-    """
-    k = ket(p.axis)
-    v = np.array([k.amp_h, k.amp_v])
-    prob = float(v @ rho.m @ v)
-    return min(1.0, max(0.0, prob))
-
-
-def density_project(rho: DensityMatrix2, p: Polarizer) -> DensityMatrix2:
-    """Post-measurement state given passage: the pure projector onto the axis.
-
-    Raises
-    ------
-    ZeroProbabilityProjectionError
-        If the pass probability is below 1e-15.
-    """
-    if density_pass_probability(rho, p) < ZERO_PROBABILITY_TOL:
-        raise ZeroProbabilityProjectionError(
-            f"cannot project: state has no component along axis at "
-            f"{p.axis.degrees!r} degrees"
-        )
-    return DensityMatrix2.from_pure(ket(p.axis))
+    return ket(axis)

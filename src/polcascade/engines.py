@@ -247,19 +247,20 @@ def wilson_interval_95(successes: int, trials: int) -> tuple[float, float]:
     Stays inside [0, 1] and keeps a sensible width when the observed
     proportion is 0 or 1, unlike the normal approximation.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    k, n = _as_int(successes), _as_int(trials)
+    if n is None or n < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if k is None or not 0 <= k <= n:
+        raise ValueError(f"successes must be an integer in [0, trials], got {successes!r}")
     z = _Z95
-    p_hat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p_hat + z * z / (2 * trials)) / denom
-    margin = (z / denom) * math.sqrt(
-        p_hat * (1.0 - p_hat) / trials + z * z / (4.0 * trials * trials)
-    )
+    p_hat = k / n
+    denom = 1.0 + z * z / n
+    center = (p_hat + z * z / (2 * n)) / denom
+    margin = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
     # the score equation has exact roots at the scale ends; computing them
     # as center -/+ margin would leave rounding residue
-    lo = 0.0 if successes == 0 else max(0.0, center - margin)
-    hi = 1.0 if successes == trials else min(1.0, center + margin)
+    lo = 0.0 if k == 0 else max(0.0, center - margin)
+    hi = 1.0 if k == n else min(1.0, center + margin)
     return (lo, hi)
 
 
@@ -316,8 +317,9 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
     chunk size or execution order. At most min(workers, chunks, CPUs)
     threads run, each summing a strided share of the chunks.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    requested = _as_int(workers)
+    if requested is None or requested < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     n = config.photon_count
     stack = config.stack
     if len(stack) == 0:
@@ -327,7 +329,7 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
     else:
         probs = _born_probabilities(config.input, stack.radians)
         n_chunks = -(-n // _CHUNK_SIZE)
-        threads = _effective_workers(workers, n_chunks, os.cpu_count())
+        threads = _effective_workers(requested, n_chunks, os.cpu_count())
 
         def share(k: int) -> int:
             return _first_stage_survivors(config, probs[0], k, threads)
@@ -429,8 +431,9 @@ def staircase_transmission(n: int, start: Angle, end: Angle) -> CascadeTrace:
     probability is (cos^2((end-start)/n))^n, which grows toward 1 as n
     increases: frequent gentle projections pass almost everything.
     """
-    if n < 1:
-        raise ValueError(f"staircase needs n >= 1 filters, got {n!r}")
-    step = (end.radians - start.radians) / n
-    stack = FilterStack(start.radians + np.arange(1, n + 1) * step)
+    count = _as_int(n)
+    if count is None or count < 1:
+        raise ValueError(f"staircase needs an integer n >= 1 filters, got {n!r}")
+    step = (end.radians - start.radians) / count
+    stack = FilterStack(start.radians + np.arange(1, count + 1) * step)
     return run_quantum_exact(PhotonInput.pure_ket(start), stack)

@@ -1,4 +1,4 @@
-"""Unit tests for the single-filter physics primitives."""
+"""Unit tests for the single-filter physics primitives and the public API."""
 
 import math
 
@@ -6,19 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polcascade
 from polcascade.core import (
     Angle,
     ClassicalBeam,
-    DensityMatrix2,
     FilterStack,
     PolarizationKet,
-    Polarizer,
     ZeroProbabilityProjectionError,
     angle_from_degrees,
     classical_transmit,
-    density_pass_probability,
-    density_project,
-    inner_product,
     ket,
     malus_factor,
     pass_probability,
@@ -76,11 +72,9 @@ class TestClassicalBeam:
 
     def test_unpolarized_has_no_plane(self):
         assert ClassicalBeam.unpolarized(1.0).plane is None
-        assert not ClassicalBeam.unpolarized(1.0).is_polarized
 
     def test_linear_keeps_plane(self):
         b = ClassicalBeam.linear(deg(30), 2.0)
-        assert b.is_polarized
         assert b.plane == deg(30)
 
 
@@ -128,19 +122,19 @@ class TestMalusFactor:
 
 class TestClassicalTransmit:
     def test_unpolarized_halves(self):
-        out = classical_transmit(ClassicalBeam.unpolarized(1.0), Polarizer(deg(0)))
+        out = classical_transmit(ClassicalBeam.unpolarized(1.0), deg(0))
         assert out.intensity == 0.5
         assert out.plane == deg(0)
 
     def test_perpendicular_extinguishes(self):
         beam = ClassicalBeam.linear(deg(0), 0.5)
-        out = classical_transmit(beam, Polarizer(deg(90)))
+        out = classical_transmit(beam, deg(90))
         assert out.intensity <= 1e-15
         assert out.plane == deg(90)
 
     def test_diagonal_quarters(self):
         beam = ClassicalBeam.linear(deg(0), 0.5)
-        out = classical_transmit(beam, Polarizer(deg(45)))
+        out = classical_transmit(beam, deg(45))
         assert out.intensity == pytest.approx(0.25, abs=1e-12)
         assert out.plane == deg(45)
 
@@ -151,13 +145,13 @@ class TestClassicalTransmit:
     )
     def test_never_gains_intensity(self, plane, axis, intensity):
         beam = ClassicalBeam.linear(Angle(plane), intensity)
-        out = classical_transmit(beam, Polarizer(Angle(axis)))
+        out = classical_transmit(beam, Angle(axis))
         assert out.intensity <= beam.intensity
 
     @given(intensity=st.floats(min_value=0, max_value=1e12), axis=finite_angles)
     def test_unpolarized_never_gains(self, intensity, axis):
         beam = ClassicalBeam.unpolarized(intensity)
-        out = classical_transmit(beam, Polarizer(Angle(axis)))
+        out = classical_transmit(beam, Angle(axis))
         assert out.intensity <= beam.intensity
 
 
@@ -190,43 +184,28 @@ class TestKet:
             PolarizationKet(math.nan, 0.0)
 
 
-class TestInnerProduct:
-    def test_orthogonal_basis(self):
-        assert abs(inner_product(ket(deg(90)), ket(deg(0)))) <= 1e-12
-
-    def test_self_overlap(self):
-        assert inner_product(ket(deg(0)), ket(deg(0))) == 1.0
-
-    def test_diagonal_overlap(self):
-        got = inner_product(ket(deg(45)), ket(deg(0)))
-        assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-    @given(a=finite_angles, b=finite_angles)
-    def test_range(self, a, b):
-        assert -1.0 <= inner_product(ket(Angle(a)), ket(Angle(b))) <= 1.0
-
-
 class TestPassProbability:
     def test_perpendicular_blocks(self):
-        assert pass_probability(ket(deg(0)), Polarizer(deg(90))) <= 1e-15
+        assert pass_probability(ket(deg(0)), deg(90)) <= 1e-15
 
     def test_h_through_diagonal(self):
-        got = pass_probability(ket(deg(0)), Polarizer(deg(45)))
+        got = pass_probability(ket(deg(0)), deg(45))
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_diagonal_through_vertical(self):
-        got = pass_probability(ket(deg(45)), Polarizer(deg(90)))
+        got = pass_probability(ket(deg(45)), deg(90))
         assert got == pytest.approx(0.5, abs=1e-12)
 
     @given(state=finite_angles, axis=finite_angles)
     def test_global_sign_invariance(self, state, axis):
         s = ket(Angle(state))
-        p = Polarizer(Angle(axis))
-        assert pass_probability(s, p) == pass_probability(-s, p)
+        a = Angle(axis)
+        flipped = PolarizationKet(-s.amp_h, -s.amp_v)
+        assert pass_probability(s, a) == pass_probability(flipped, a)
 
     @given(state=finite_angles, axis=finite_angles)
     def test_range(self, state, axis):
-        got = pass_probability(ket(Angle(state)), Polarizer(Angle(axis)))
+        got = pass_probability(ket(Angle(state)), Angle(axis))
         assert 0.0 <= got <= 1.0
 
     def test_matches_malus_factor_on_1000_random_pairs(self):
@@ -236,90 +215,61 @@ class TestPassProbability:
         for _ in range(1000):
             plane, axis = rng.uniform(0.0, math.pi, size=2)
             m = malus_factor(Angle(plane), Angle(axis))
-            q = pass_probability(ket(Angle(plane)), Polarizer(Angle(axis)))
+            q = pass_probability(ket(Angle(plane)), Angle(axis))
             worst = max(worst, abs(m - q))
         assert worst <= 1e-12
 
 
 class TestProject:
     def test_h_collapses_to_diagonal(self):
-        assert project(ket(deg(0)), Polarizer(deg(45))) == ket(deg(45))
+        assert project(ket(deg(0)), deg(45)) == ket(deg(45))
 
     def test_diagonal_collapses_to_vertical(self):
-        assert project(ket(deg(45)), Polarizer(deg(90))) == ket(deg(90))
+        assert project(ket(deg(45)), deg(90)) == ket(deg(90))
 
     def test_orthogonal_projection_rejected(self):
         with pytest.raises(ZeroProbabilityProjectionError):
-            project(ket(deg(0)), Polarizer(deg(90)))
+            project(ket(deg(0)), deg(90))
 
     @given(state=finite_angles, axis=finite_angles)
     def test_idempotent_when_defined(self, state, axis):
         s = ket(Angle(state))
-        p = Polarizer(Angle(axis))
+        a = Angle(axis)
         try:
-            collapsed = project(s, p)
+            collapsed = project(s, a)
         except ZeroProbabilityProjectionError:
             return
-        assert pass_probability(collapsed, p) == pytest.approx(1.0, abs=1e-12)
+        assert pass_probability(collapsed, a) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestDensityMatrix:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            DensityMatrix2(np.array([[0.5, 0.1], [0.2, 0.5]]))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            DensityMatrix2(np.array([[0.6, 0.0], [0.0, 0.6]]))
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError):
-            DensityMatrix2(np.array([[1.5, 0.0], [0.0, -0.5]]))
-
-    def test_matrix_is_frozen(self):
-        rho = DensityMatrix2.unpolarized()
-        with pytest.raises(ValueError):
-            rho.m[0, 0] = 0.9
-
-    @given(axis=finite_angles)
-    def test_unpolarized_halves_any_axis(self, axis):
-        rho = DensityMatrix2.unpolarized()
-        got = density_pass_probability(rho, Polarizer(Angle(axis)))
-        assert got == pytest.approx(0.5, abs=1e-12)
-
-    def test_pure_h_through_diagonal(self):
-        rho = DensityMatrix2.from_pure(ket(deg(0)))
-        got = density_pass_probability(rho, Polarizer(deg(45)))
-        assert got == pytest.approx(0.5, abs=1e-12)
-
-    def test_pure_h_through_vertical(self):
-        rho = DensityMatrix2.from_pure(ket(deg(0)))
-        assert density_pass_probability(rho, Polarizer(deg(90))) <= 1e-15
-
-    @given(state=finite_angles, axis=finite_angles)
-    def test_pure_state_embedding_consistent(self, state, axis):
-        s = ket(Angle(state))
-        p = Polarizer(Angle(axis))
-        rho = DensityMatrix2.from_pure(s)
-        assert density_pass_probability(rho, p) == pytest.approx(
-            pass_probability(s, p), abs=1e-12
-        )
-
-    def test_project_unpolarized_onto_h(self):
-        got = density_project(DensityMatrix2.unpolarized(), Polarizer(deg(0)))
-        np.testing.assert_allclose(got.m, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
-
-    def test_project_pure_h_onto_diagonal(self):
-        rho = DensityMatrix2.from_pure(ket(deg(0)))
-        got = density_project(rho, Polarizer(deg(45)))
-        np.testing.assert_allclose(got.m, np.full((2, 2), 0.5), atol=1e-15)
-
-    def test_project_diagonal_onto_vertical(self):
-        rho = DensityMatrix2.from_pure(ket(deg(45)))
-        got = density_project(rho, Polarizer(deg(90)))
-        np.testing.assert_allclose(got.m, [[0.0, 0.0], [0.0, 1.0]], atol=1e-15)
-
-    def test_zero_probability_projection_rejected(self):
-        rho = DensityMatrix2.from_pure(ket(deg(0)))
-        with pytest.raises(ZeroProbabilityProjectionError):
-            density_project(rho, Polarizer(deg(90)))
+class TestPublicApi:
+    def test_all_is_pinned(self):
+        # growing the public API should be a deliberate edit here
+        assert sorted(polcascade.__all__) == [
+            "Angle",
+            "CascadeTrace",
+            "ClassicalBeam",
+            "ComparisonDomainError",
+            "ComparisonReport",
+            "FilterStack",
+            "MonteCarloConfig",
+            "MonteCarloReport",
+            "PhotonInput",
+            "PolarizationKet",
+            "StageRecord",
+            "ZeroProbabilityProjectionError",
+            "angle_from_degrees",
+            "classical_transmit",
+            "compare",
+            "ket",
+            "malus_factor",
+            "pass_probability",
+            "project",
+            "run_classical",
+            "run_monte_carlo",
+            "run_quantum_exact",
+            "staircase_transmission",
+            "wilson_interval_95",
+        ]
+        for name in polcascade.__all__:
+            getattr(polcascade, name)
