@@ -8,17 +8,23 @@ compare), 1 compare failure, 2 usage error, 3 internal error.
 Each result kind only builds a table (stack, TSV columns and footer, text
 heading, cells and summary); one writer lays every table out in either
 format, so the row layouts and number formatting live in one place. The
-writer fills one printf template per row and formats one block of rows at a
-time, so a long stack holds the output and one block of cells, not one
-string per cell.
+writer fills one printf template per row and yields the output one block of
+rows at a time. Given a text stream, the renderers and :func:`run_experiment`
+write each block to it as it is made, and :func:`main` passes stdout, so a
+run holds one block of output, never all of it; without a stream they join
+the same blocks into one string. The stack travels as float64 arrays, from
+:func:`parse_stack_text` through :class:`ExperimentSpec` to the engines.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, fields
+from typing import TextIO
 
 import numpy as np
 
@@ -44,17 +50,24 @@ _TSV_HEADER = "stage\taxis_deg\tclassical_intensity\tstage_prob\tcumulative_prob
 # rows formatted and joined at a time: bounds the cells and row strings alive at once
 _BLOCK_ROWS = 4096
 
+# stack-file characters split into lines at a time: bounds the line strings alive at once
+_PARSE_CHARS = 1 << 16
+
 
 class UsageError(ValueError):
     """Bad command line or stack file; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentSpec:
-    """Validated description of one experiment run."""
+    """Validated description of one experiment run.
+
+    `filters_deg` takes any sequence of numbers and holds it as a read-only
+    float64 array; specs compare and hash by value.
+    """
 
     mode: str
-    filters_deg: tuple[float, ...] = ()
+    filters_deg: np.ndarray = ()
     input_kind: str = "unpolarized"  # "unpolarized" | "linear"
     input_angle_deg: float | None = None
     intensity: float = 1.0
@@ -77,9 +90,12 @@ class ExperimentSpec:
         elif self.input_angle_deg is not None:
             # --input=unpolarized carries no angle, so to_argv could not round-trip it
             raise UsageError("unpolarized input takes no angle")
-        for a in self.filters_deg:
-            if not math.isfinite(a):
-                raise UsageError(f"filter angle must be finite, got {a!r}")
+        filters = np.array(self.filters_deg, dtype=np.float64).reshape(-1)
+        finite = np.isfinite(filters)
+        if not finite.all():
+            raise UsageError(f"filter angle must be finite, got {filters[~finite][0].item()!r}")
+        filters.flags.writeable = False
+        object.__setattr__(self, "filters_deg", filters)
         for name in ("photons", "seed", "workers"):
             # an integer, as MonteCarloConfig takes it, so to_argv round-trips
             value = _as_int(getattr(self, name))
@@ -97,6 +113,20 @@ class ExperimentSpec:
         if self.workers < 1:
             raise UsageError(f"--workers must be >= 1, got {self.workers!r}")
 
+    def _scalars(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "filters_deg")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExperimentSpec):
+            return NotImplemented
+        return self._scalars() == other._scalars() and np.array_equal(
+            self.filters_deg, other.filters_deg
+        )
+
+    def __hash__(self) -> int:
+        # -0.0 + 0.0 is 0.0, so stacks that compare equal hash alike
+        return hash((self._scalars(), (self.filters_deg + 0.0).tobytes()))
+
     def to_argv(self) -> list[str]:
         """Canonical flag list; parsing it back yields an identical spec.
 
@@ -104,8 +134,8 @@ class ExperimentSpec:
         `--flag=value` form keeps negative angles unambiguous.
         """
         argv = []
-        if self.filters_deg:
-            argv.append("--filters=" + ",".join(repr(a) for a in self.filters_deg))
+        if len(self.filters_deg):
+            argv.append("--filters=" + ",".join(map(repr, self.filters_deg.tolist())))
         if self.input_kind == "linear":
             argv.append(f"--input=linear:{self.input_angle_deg!r}")
         else:
@@ -188,20 +218,42 @@ def _parse_int(token: str, flag: str) -> int:
         raise UsageError(f"{flag}: not an integer: {token!r}") from None
 
 
-def parse_stack_text(text: str, source: str = "stack file") -> tuple[float, ...]:
-    """Parse stack-file text: one angle in degrees per line.
+def _pieces(text: str) -> Iterator[str]:
+    # cut just after a "\n", which always ends a line for str.splitlines, so
+    # the pieces split into the lines of the whole text
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PARSE_CHARS) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
-    `#` begins a comment and blank lines are ignored.
-    """
+
+def _code_lines(text: str, comments: bool) -> list[str]:
+    # the lines of `text`, each cut at its first `#` if the text has any
     lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
+    return [line.split("#", 1)[0] for line in lines] if comments else lines
+
+
+def _angles(text: str, comments: bool) -> np.ndarray:
+    # float() strips the same whitespace as str.strip()
+    return np.array(list(map(float, filter(str.strip, _code_lines(text, comments)))))
+
+
+def parse_stack_text(text: str, source: str = "stack file") -> np.ndarray:
+    """Parse stack-file text, one angle in degrees per line, to a float64 array.
+
+    `#` begins a comment and blank lines are ignored. Each angle is read
+    with `float()`. A long text is split into lines one piece at a time,
+    so only one piece's line strings are alive at once.
+    """
+    comments = "#" in text
     try:
-        # float() strips the same whitespace as str.strip()
-        return tuple(map(float, filter(str.strip, lines)))
+        if len(text) <= _PARSE_CHARS:
+            return _angles(text, comments)
+        return np.concatenate([_angles(piece, comments) for piece in _pieces(text)])
     except ValueError:
         # scan again only to name the first bad line
-        for lineno, line in enumerate(map(str.strip, lines), start=1):
+        for lineno, line in enumerate(map(str.strip, _code_lines(text, comments)), start=1):
             try:
                 if line:
                     float(line)
@@ -297,42 +349,57 @@ def _cells(column: list) -> list[str]:
     return ["-" if x is None else x if isinstance(x, str) else _num(x) for x in column]
 
 
-def _write(table: _Table, output_format: str) -> str:
+def _write(table: _Table, output_format: str) -> Iterator[str]:
     """Lay a table out as TSV or text; only here are the row layouts known.
 
-    Each row is one `%` of a template; rows are formatted and joined one
-    block at a time, so only one block of cells is alive at once.
+    Yields the header, each block of rows and the footer, every one ending
+    in a newline. Each row is one `%` of a template; rows are formatted and
+    joined one block at a time, so only one block of cells is alive at once.
     """
     if output_format not in _FORMATS:
         raise ValueError(f"unknown format {output_format!r}")
     if output_format == "tsv":
         head, columns, foot = _TSV_HEADER, table.tsv_columns, table.tsv_footer
-        row = "\t".join(["%d\t%.12g", *map(_field, columns)])
+        row = "\t".join(["%d\t%.12g", *map(_field, columns)]) + "\n"
     else:
         head, columns, foot = table.heading, [c for _, c in table.text_cells], [table.summary]
         row = ", ".join(["  stage %d: axis %.12g deg",
-                         *(t.replace("%s", _field(c)) for t, c in table.text_cells)])
+                         *(t.replace("%s", _field(c)) for t, c in table.text_cells)]) + "\n"
     columns = [c for c in columns if c is not None]
     axes = np.degrees(table.stack.radians)
-    blocks = []
+    yield head + "\n"
     for lo in range(0, len(axes), _BLOCK_ROWS):
         hi = lo + _BLOCK_ROWS
         cells = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else _cells(c[lo:hi])
                  for c in columns]
         rows = zip(range(lo + 1, hi + 1), axes[lo:hi].tolist(), *cells)
-        blocks.append("\n".join([row % r for r in rows]))
-    # the trailing "" ends the output with a newline without copying it again
-    return "\n".join([head, *blocks, *foot, ""])
+        yield "".join([row % r for r in rows])
+    for line in foot:
+        yield line + "\n"
 
 
-def render_trace(result: CascadeTrace | MonteCarloReport, output_format: str = "tsv") -> str:
+def _emit(blocks: Iterable[str], out: TextIO | None) -> str | None:
+    # the one way output leaves a renderer: written to `out` block by block
+    # as it is made, or, without a stream, joined into one string
+    if out is None:
+        return "".join(blocks)
+    for block in blocks:
+        out.write(block)
+    return None
+
+
+def render_trace(
+    result: CascadeTrace | MonteCarloReport, output_format: str = "tsv", out: TextIO | None = None
+) -> str | None:
     """Render one engine result deterministically.
 
     TSV rows carry the per-stage numbers with `-` for cells the engine does
     not produce; Monte Carlo rows show the empirical per-stage fractions.
+    With `out`, the output is written to it block by block and None is
+    returned; without it, the output is returned as one string.
     """
     table = _mc_table(result) if isinstance(result, MonteCarloReport) else _cascade_table(result)
-    return _write(table, output_format)
+    return _emit(_write(table, output_format), out)
 
 
 def _cascade_table(trace: CascadeTrace) -> _Table:
@@ -378,8 +445,12 @@ def render_comparison(
     quantum: CascadeTrace,
     report: ComparisonReport,
     output_format: str = "tsv",
-) -> str:
-    """Render a classical and a quantum trace side by side with the verdict."""
+    out: TextIO | None = None,
+) -> str | None:
+    """Render a classical and a quantum trace side by side with the verdict.
+
+    `out` works as in :func:`render_trace`.
+    """
     verdict = "pass" if report.passed else "fail"
     intensity, cumulative = classical.classical_intensity_after, quantum.cumulative_probability
     final, quantum_final = (_num(t.final_transmitted_fraction) for t in (classical, quantum))
@@ -396,7 +467,7 @@ def render_comparison(
         summary=f"classical fraction {final} vs quantum probability {quantum_final}: "
         f"{verdict} (max diff {max_diff}, tolerance {tolerance})",
     )
-    return _write(table, output_format)
+    return _emit(_write(table, output_format), out)
 
 
 def _describe_input(desc: ClassicalBeam | PhotonInput) -> str:
@@ -431,15 +502,19 @@ def _photon_input(spec: ExperimentSpec) -> PhotonInput:
     return PhotonInput.pure_ket(angle_from_degrees(spec.input_angle_deg))
 
 
-def run_experiment(spec: ExperimentSpec) -> tuple[str, object]:
-    """Execute the requested mode; returns (rendered output, result object)."""
+def run_experiment(spec: ExperimentSpec, out: TextIO | None = None) -> tuple[str | None, object]:
+    """Execute the requested mode; returns (rendered output, result object).
+
+    With `out`, the output is written to it block by block as it is made
+    and the first item is None.
+    """
     stack = spec.stack()
     if spec.mode == "classical":
         trace = run_classical(_classical_beam(spec), stack)
-        return render_trace(trace, spec.output_format), trace
+        return render_trace(trace, spec.output_format, out), trace
     if spec.mode == "quantum":
         trace = run_quantum_exact(_photon_input(spec), stack)
-        return render_trace(trace, spec.output_format), trace
+        return render_trace(trace, spec.output_format, out), trace
     if spec.mode == "mc":
         config = MonteCarloConfig(
             photon_count=spec.photons,
@@ -448,26 +523,49 @@ def run_experiment(spec: ExperimentSpec) -> tuple[str, object]:
             stack=stack,
         )
         report = run_monte_carlo(config, workers=spec.workers)
-        return render_trace(report, spec.output_format), report
+        return render_trace(report, spec.output_format, out), report
     classical = run_classical(_classical_beam(spec), stack)
     quantum = run_quantum_exact(_photon_input(spec), stack)
     report = compare(classical, quantum, spec.tolerance)
-    return render_comparison(classical, quantum, report, spec.output_format), report
+    return render_comparison(classical, quantum, report, spec.output_format, out), report
+
+
+def _discard_unwritable(out: TextIO) -> None:
+    # the interpreter flushes stdout once more at exit, and a second failure
+    # there would print another error and exit 120; bytes the stream cannot
+    # take go to the null device instead
+    try:
+        out.flush()
+    except Exception:
+        try:
+            fd = out.fileno()
+        except (AttributeError, OSError, ValueError):  # not a file, or closed
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the CLI; the report is written to stdout as it is made.
+
+    A failure while writing exits 3 like any other crash, possibly after
+    part of the output.
+    """
     if argv is None:
         argv = sys.argv[1:]
+    out = sys.stdout
     try:
-        output, result = run_experiment(parse_spec(argv))
+        _, result = run_experiment(parse_spec(argv), out)
+        out.flush()
     except UsageError as exc:
         print(f"polcascade: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         # exit code 1 already means "compare failed", so a crash gets its own code
         print(f"polcascade: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _discard_unwritable(out)
         return 3
-    sys.stdout.write(output)
     return exit_policy(result)
 
 

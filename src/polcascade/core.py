@@ -75,17 +75,21 @@ class FilterStack:
     radians: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self) -> None:
-        r = np.array(self.radians, dtype=np.float64).reshape(-1)
+        r = np.asarray(self.radians, dtype=np.float64).reshape(-1)
         if not np.isfinite(r).all():
             raise ValueError("angle must be finite")
-        r = np.mod(r, np.pi)
+        r = np.mod(r, np.pi)  # a new array, never the caller's
         r[r >= np.pi] = 0.0  # same landing-on-the-divisor case as Angle
         r.flags.writeable = False
         object.__setattr__(self, "radians", r)
 
     @classmethod
     def from_degrees(cls, degrees: Iterable[float]) -> FilterStack:
-        return cls(np.radians(np.fromiter(degrees, dtype=np.float64)))
+        """Stack from axis angles in degrees; an array is converted whole,
+        any other iterable is read element by element."""
+        if not isinstance(degrees, np.ndarray):
+            degrees = np.fromiter(degrees, dtype=np.float64)
+        return cls(np.radians(np.asarray(degrees, dtype=np.float64)))
 
     @property
     def axes(self) -> tuple[Angle, ...]:
@@ -118,6 +122,8 @@ class ClassicalBeam:
         i = float(self.intensity)
         if not math.isfinite(i) or i < 0.0:
             raise ValueError(f"intensity must be finite and >= 0, got {i!r}")
+        if self.plane is not None and not isinstance(self.plane, Angle):
+            raise ValueError(f"plane must be an Angle or None, got {self.plane!r}")
         object.__setattr__(self, "intensity", i)
 
     @classmethod

@@ -24,6 +24,7 @@ probability.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -60,6 +61,10 @@ class PhotonInput:
     """
 
     angle: Angle | None = None
+
+    def __post_init__(self) -> None:
+        if self.angle is not None and not isinstance(self.angle, Angle):
+            raise ValueError(f"angle must be an Angle or None, got {self.angle!r}")
 
     @classmethod
     def unpolarized(cls) -> PhotonInput:
@@ -163,11 +168,15 @@ class MonteCarloReport:
         return self.config.photon_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Per-stage and final differences between classical and quantum runs."""
+    """Per-stage and final differences between classical and quantum runs.
 
-    stage_differences: tuple[float, ...]
+    `stage_differences` is one float64 array aligned with the stack, so,
+    like :class:`CascadeTrace`, reports compare by identity.
+    """
+
+    stage_differences: np.ndarray
     final_difference: float
     max_difference: float
     tolerance: float
@@ -386,13 +395,13 @@ def compare(
     Raises
     ------
     ValueError
-        If `tolerance` is negative or NaN.
+        If `tolerance` is not a real number, or is negative or NaN.
     ComparisonDomainError
         If the traces are not a (classical, quantum) pair over the same
         stack and equivalent input.
     """
-    if not tolerance >= 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
+    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real) or not tolerance >= 0:
+        raise ValueError(f"tolerance must be a real number >= 0, got {tolerance!r}")
     if not isinstance(classical.input_description, ClassicalBeam):
         raise ComparisonDomainError("first trace must come from the classical engine")
     if not isinstance(quantum.input_description, PhotonInput):
@@ -414,7 +423,7 @@ def compare(
     )
     max_diff = float(np.max(diffs, initial=final_diff))
     return ComparisonReport(
-        stage_differences=tuple(diffs.tolist()),
+        stage_differences=diffs,
         final_difference=final_diff,
         max_difference=max_diff,
         tolerance=tolerance,

@@ -1,6 +1,11 @@
 """Tests for command-line parsing, rendering, and exit codes."""
 
+import contextlib
+import io
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -38,7 +43,7 @@ ROUNDING_STACK = "47.0902,53.7284,146.5606,16.5449,108.0181,131.1409,33.8222,9.9
 class TestParseSpec:
     def test_perpendicular_arrangement(self):
         spec = parse_spec(["--filters", "0,90", "--input", "unpolarized", "--mode", "classical"])
-        assert spec.filters_deg == (0.0, 90.0)
+        assert tuple(spec.filters_deg.tolist()) == (0.0, 90.0)
         assert spec.input_kind == "unpolarized"
         assert spec.mode == "classical"
 
@@ -82,17 +87,17 @@ class TestParseSpec:
 
     def test_missing_filters_means_empty_stack(self):
         spec = parse_spec(["--mode", "classical"])
-        assert spec.filters_deg == ()
+        assert tuple(spec.filters_deg.tolist()) == ()
 
     def test_negative_angles_via_equals_form(self):
         spec = parse_spec(["--filters=-45,135", "--mode", "classical"])
-        assert spec.filters_deg == (-45.0, 135.0)
+        assert tuple(spec.filters_deg.tolist()) == (-45.0, 135.0)
 
 
 class TestStackFile:
     def test_comments_and_blanks_ignored(self):
         text = "# polarizer angles\n0\n\n45  # diagonal\n90\n"
-        assert parse_stack_text(text) == (0.0, 45.0, 90.0)
+        assert tuple(parse_stack_text(text).tolist()) == (0.0, 45.0, 90.0)
 
     def test_bad_line_is_located(self):
         with pytest.raises(UsageError, match="line 3"):
@@ -100,20 +105,20 @@ class TestStackFile:
 
     def test_injected_text_is_used(self):
         spec = parse_spec(["--mode", "classical"], stack_file_text="0\n45\n90\n")
-        assert spec.filters_deg == (0.0, 45.0, 90.0)
+        assert tuple(spec.filters_deg.tolist()) == (0.0, 45.0, 90.0)
 
     def test_flags_override_file(self):
         spec = parse_spec(
             ["--filters", "10,20", "--mode", "classical"],
             stack_file_text="0\n45\n90\n",
         )
-        assert spec.filters_deg == (10.0, 20.0)
+        assert tuple(spec.filters_deg.tolist()) == (10.0, 20.0)
 
     def test_read_from_disk(self, tmp_path):
         path = tmp_path / "stack.txt"
         path.write_text("0\n45\n90\n")
         spec = parse_spec(["--stack-file", str(path), "--mode", "classical"])
-        assert spec.filters_deg == (0.0, 45.0, 90.0)
+        assert tuple(spec.filters_deg.tolist()) == (0.0, 45.0, 90.0)
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -127,7 +132,7 @@ class TestStackFile:
         ids=["crlf", "whitespace-lines", "trailing-comment", "no-final-newline", "empty"],
     )
     def test_line_forms(self, text, expected):
-        assert parse_stack_text(text) == expected
+        assert tuple(parse_stack_text(text).tolist()) == expected
 
     def test_bad_line_deep_in_long_file_is_located(self):
         lines = [f"{i * 0.25}" for i in range(10_000)]
@@ -154,7 +159,33 @@ class TestStackFile:
             with pytest.raises(UsageError, match=re.escape(str(exc))):
                 parse_stack_text(text)
         else:
-            assert repr(parse_stack_text(text)) == repr(expected)  # nan != nan
+            assert repr(tuple(parse_stack_text(text).tolist())) == repr(expected)  # nan != nan
+
+    @given(
+        lines=st.lists(
+            st.sampled_from(
+                ["0", " 12.5 ", "-1e3", "45  # note", "# only", "", "  ", "\t", "x",
+                 "1_0", "inf", "nan", "4#5", "\x0c", "7\r", "1 2"]
+            ),
+            max_size=12,
+        ),
+        sep=st.sampled_from(["\n", "\r\n", "\r"]),
+        chars=st.integers(min_value=0, max_value=8),
+    )
+    def test_pieces_split_no_line(self, lines, sep, chars):
+        # a long text is parsed piece by piece; tiny pieces cut it everywhere
+        text = sep.join(lines)
+
+        def outcome(parse):
+            try:
+                return repr(tuple(parse(text)))
+            except UsageError as exc:
+                return str(exc)
+
+        expected = outcome(_parse_line_by_line)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_PARSE_CHARS", chars)
+            assert outcome(lambda t: parse_stack_text(t).tolist()) == expected
 
     def test_unreadable_file_named(self, tmp_path):
         missing = tmp_path / "nope.txt"
@@ -319,6 +350,49 @@ class TestMain:
         assert code == 3
         assert captured.out == ""
         assert captured.err == "polcascade: internal error: MemoryError: no room for photons\n"
+
+    def test_failed_write_is_an_internal_error(self, capsys, monkeypatch):
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        code = main(["--filters", "0,45,90", "--mode", "compare"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "polcascade: internal error: OSError: [Errno 28] No space left on device\n"
+        )
+
+    def test_writer_crash_after_first_block_exits_3(self, capsys, monkeypatch):
+        write = cli._write
+
+        def crash_after_first_block(table, output_format):
+            yield next(write(table, output_format))
+            raise RuntimeError("writer broke")
+
+        monkeypatch.setattr(cli, "_write", crash_after_first_block)
+        code = main(["--filters", "0,45,90", "--mode", "compare"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == TSV_HEADER
+        assert captured.err == "polcascade: internal error: RuntimeError: writer broke\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_3_with_one_line(self):
+        # buffered stdout, as in a shell: the interpreter's own flush at exit
+        # must not fail again after main has reported the error
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "polcascade.cli", "--filters", "0,45,90", "--mode", "compare"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "polcascade: internal error: OSError: [Errno 28] No space left on device\n"
+        )
 
     def test_mc_run_deterministic_output(self, capsys):
         argv = ["--filters", "0,45,90", "--mode", "mc", "--photons", "50000", "--seed", "11"]
@@ -490,6 +564,22 @@ class TestInputValidation:
             assert type(getattr(spec, name)) is int
             assert parse_spec(spec.to_argv()) == spec
 
+    def test_filters_are_a_read_only_array_compared_by_value(self):
+        angles = np.array([-0.0, 45.0])
+        spec = ExperimentSpec(mode="classical", filters_deg=angles)
+        angles[1] = 46.0  # the spec holds its own copy
+        assert spec.filters_deg.dtype == np.float64
+        with pytest.raises(ValueError):
+            spec.filters_deg[0] = 1.0
+        same = ExperimentSpec(mode="classical", filters_deg=(0.0, 45.0))
+        assert same == spec and hash(same) == hash(spec)
+        assert spec != ExperimentSpec(mode="classical", filters_deg=(0.0, 45.5))
+        assert spec != ExperimentSpec(mode="quantum", filters_deg=(0.0, 45.0))
+
+    def test_first_non_finite_angle_named(self):
+        with pytest.raises(UsageError, match="finite, got -inf$"):
+            ExperimentSpec(mode="classical", filters_deg=(0.0, -np.inf, np.nan))
+
     def test_unpolarized_input_takes_no_angle(self):
         with pytest.raises(UsageError, match="unpolarized"):
             ExperimentSpec(mode="quantum", input_kind="unpolarized", input_angle_deg=30.0)
@@ -542,7 +632,7 @@ class TestBlockBoundaries:
     built one cell at a time."""
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-    def test_rows_match_cell_by_cell_reference(self, n):
+    def test_rows_match_cell_by_cell_reference(self, capsys, n):
         degrees = np.cumsum(np.random.default_rng(n).normal(0.0, 1.0, n))
         degrees[-2] = degrees[-3] + 90.0  # a crossed pair stops every photon
         stack = FilterStack.from_degrees(degrees.tolist())
@@ -607,6 +697,15 @@ class TestBlockBoundaries:
         ]
         for out, expected in cases:
             assert out == "\n".join(expected) + "\n"
+        # the same bytes streamed by main and joined by run_experiment
+        modes = [(m, f) for f in ("tsv", "text") for m in ("classical", "quantum", "compare", "mc")]
+        filters = "--filters=" + ",".join(map(repr, degrees.tolist()))
+        for (mode, fmt), (out, _) in zip(modes, cases):
+            argv = [filters, "--mode", mode, "--format", fmt, "--input", "linear:33.3",
+                    "--photons", "1000", "--seed", "7"]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
+            assert run_experiment(parse_spec(argv))[0] == out
 
     @given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
     def test_printf_matches_format(self, x):
@@ -628,3 +727,20 @@ class TestRenderMemory:
             tracemalloc.stop()
         assert out.count("\n") == 100_000 + (3 if fmt == "tsv" else 2)
         assert peak < 4 * len(out)
+
+    def test_whole_run_peak_is_bounded_by_the_stack(self, tmp_path):
+        # main streams its output, so the peak scales with the stack (8
+        # bytes a filter), not with the ~80 bytes a filter of output
+        n = 100_000
+        degrees = np.cumsum(np.random.default_rng(5).normal(0.0, 0.2, n))
+        path = tmp_path / "walk.txt"
+        path.write_text("".join(f"{a!r}\n" for a in degrees.tolist()))
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["--stack-file", str(path), "--mode", "compare"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 8 * n, peak

@@ -284,6 +284,31 @@ class TestCompare:
         with pytest.raises(ValueError, match="tolerance"):
             compare(classical, quantum, tolerance)
 
+    def test_wrong_types_rejected_at_construction(self):
+        stack = stack_of(0, 45)
+        classical = run_classical(ClassicalBeam.unpolarized(1.0), stack)
+        quantum = run_quantum_exact(PhotonInput.unpolarized(), stack)
+        # each once failed later, with AttributeError or TypeError
+        cases = [
+            ("angle", lambda: PhotonInput(angle=30.0)),
+            ("plane", lambda: ClassicalBeam(1.0, plane=30.0)),
+            ("tolerance", lambda: compare(classical, quantum, "1e-9")),
+        ]
+        for field, build in cases:
+            with pytest.raises(ValueError, match=f"^{field} "):
+                build()
+
+    def test_stage_differences_are_an_array(self):
+        stack = stack_of(0, 45, 90)
+        classical = run_classical(ClassicalBeam.unpolarized(1.0), stack)
+        quantum = run_quantum_exact(PhotonInput.unpolarized(), stack)
+        report = compare(classical, quantum, 1e-9)
+        assert report.stage_differences.dtype == np.float64
+        np.testing.assert_array_equal(
+            report.stage_differences,
+            np.abs(classical.classical_intensity_after - quantum.cumulative_probability),
+        )
+
     def test_empty_stacks_compare_equal(self):
         classical = run_classical(ClassicalBeam.unpolarized(1.0), FilterStack())
         quantum = run_quantum_exact(PhotonInput.unpolarized(), FilterStack())
