@@ -3,17 +3,22 @@
 Angles cross this boundary in degrees and are converted to radians once,
 when the filter stack is built. Reports go to stdout (TSV or plain text),
 diagnostics to stderr. Exit codes: 0 success (including a passing
-compare), 1 compare failure, 2 usage error, 3 internal error.
+compare), 1 compare failure, 2 usage error, 3 internal error, and 141,
+quietly, when the reader closes stdout before the output ends.
 
 Each result kind only builds a table (stack, TSV columns and footer, text
 heading, cells and summary); one writer lays every table out in either
 format, so the row layouts and number formatting live in one place. The
-writer fills one printf template per row and yields the output one block of
-rows at a time. Given a text stream, the renderers and :func:`run_experiment`
-write each block to it as it is made, and :func:`main` passes stdout, so a
-run holds one block of output, never all of it; without a stream they join
-the same blocks into one string. The stack travels as float64 arrays, from
-:func:`parse_stack_text` through :class:`ExperimentSpec` to the engines.
+writer makes the output one block of 4096 rows at a time, each block one
+byte string: a numpy formatter gives every cell exactly the bytes of
+Python's 12-significant-digit `format(x, ".12g")`, and only the cells it
+cannot prove exact (near a rounding tie, nan, inf, subnormal or extreme)
+go through `format` itself. Given a text stream, the renderers and
+:func:`run_experiment` write each block to it as it is made, and
+:func:`main` passes stdout, so a run holds one block of output, never all
+of it; without a stream they join the same blocks into one string. The
+stack travels as float64 arrays, from :func:`parse_stack_text` through
+:class:`ExperimentSpec` to the engines.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import TextIO
 
 import numpy as np
 
+from ._cells import float_cells, int_cells, num as _num
 from .core import ClassicalBeam, FilterStack, angle_from_degrees
 from .engines import (
     CascadeTrace,
@@ -313,9 +319,43 @@ def parse_spec(argv: list[str], stack_file_text: str | None = None) -> Experimen
     )
 
 
-def _num(x: float) -> str:
-    # 12 significant digits, trailing zeros trimmed, locale-independent
-    return format(float(x), ".12g")
+def _block_cells(columns: list, lo: int, hi: int) -> list[np.ndarray]:
+    # rows lo..hi of each column as a uint8 matrix of cells; missing cells read "-"
+    out = []
+    for column in columns:
+        values, missing = column if isinstance(column, tuple) else (column, None)
+        if values is _STAGE:
+            cells = int_cells(np.arange(lo + 1, hi + 1))
+        elif values.dtype.kind == "f":
+            cells, lengths = float_cells(values[lo:hi])
+            cells = cells[:, : lengths.max()]
+        else:
+            cells = int_cells(values[lo:hi])
+        if missing is not None:
+            cells[missing[lo:hi]] = 0
+            cells[missing[lo:hi], 0] = ord("-")
+        out.append(cells)
+    return out
+
+
+def _join(pieces: list[bytes], cells: list[np.ndarray]) -> str:
+    # one row per cell row: pieces[0], cells[0], pieces[1], ..., pieces[-1];
+    # the NULs that pad the cells are dropped
+    row, spans = bytearray(), []
+    for piece, cell in zip(pieces, [*cells, None]):
+        row += piece
+        if cell is not None:
+            spans.append((len(row), cell))
+            row += bytes(cell.shape[1])
+    out = np.empty((len(cells[0]), len(row)), np.uint8)
+    out[:] = np.frombuffer(row, np.uint8)
+    for at, cell in spans:
+        out[:, at:at + cell.shape[1]] = cell
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
+# the column of stage numbers, 1 to n, in a row layout
+_STAGE = object()
 
 
 @dataclass(frozen=True)
@@ -323,57 +363,59 @@ class _Table:
     """One result, one row per filter; :func:`_write` lays it out.
 
     `tsv_columns` fill the three value columns (`None` is a column of `-`);
-    `text_cells` are (template, column) pairs such as
-    ``("intensity %s", column)``. A column is a numpy array of numbers or
-    a list whose cells are numbers, `None` for `-`, or strings written as
-    they are.
+    `text_cells` are a template and the columns that fill its `%s` fields
+    in order, such as ``("intensity %s", column)``. A column is a 1-D numpy
+    array of float64 or non-negative int64, or a (values, missing) pair of
+    such arrays whose cells read `-` where `missing` is set.
     """
 
     stack: FilterStack
     tsv_columns: tuple
     tsv_footer: list[str]
     heading: str
-    text_cells: list[tuple[str, object]]
+    text_cells: list[tuple]
     summary: str
-
-
-def _field(column) -> str:
-    # printf field of one column: numpy columns format in the row template
-    if column is None:
-        return "-"
-    return "%.12g" if isinstance(column, np.ndarray) else "%s"
-
-
-def _cells(column: list) -> list[str]:
-    # a Monte Carlo column: numbers, `None` for `-`, or strings written as they are
-    return ["-" if x is None else x if isinstance(x, str) else _num(x) for x in column]
 
 
 def _write(table: _Table, output_format: str) -> Iterator[str]:
     """Lay a table out as TSV or text; only here are the row layouts known.
 
     Yields the header, each block of rows and the footer, every one ending
-    in a newline. Each row is one `%` of a template; rows are formatted and
-    joined one block at a time, so only one block of cells is alive at once.
+    in a newline. A row is literal text around its cells, the stage number
+    first; each block of rows is made as one byte string, so only one
+    block of cells is alive at once.
     """
     if output_format not in _FORMATS:
         raise ValueError(f"unknown format {output_format!r}")
-    if output_format == "tsv":
-        head, columns, foot = _TSV_HEADER, table.tsv_columns, table.tsv_footer
-        row = "\t".join(["%d\t%.12g", *map(_field, columns)]) + "\n"
-    else:
-        head, columns, foot = table.heading, [c for _, c in table.text_cells], [table.summary]
-        row = ", ".join(["  stage %d: axis %.12g deg",
-                         *(t.replace("%s", _field(c)) for t, c in table.text_cells)]) + "\n"
-    columns = [c for c in columns if c is not None]
     axes = np.degrees(table.stack.radians)
+    if output_format == "tsv":
+        head, foot = _TSV_HEADER, table.tsv_footer
+        items = ["", _STAGE, "\t", axes]
+        for column in table.tsv_columns:
+            items += ["\t", "-" if column is None else column]
+        items.append("\n")
+    else:
+        head, foot = table.heading, [table.summary]
+        items = ["  stage ", _STAGE, ": axis ", axes, " deg"]
+        for template, *columns in table.text_cells:
+            parts = template.split("%s")
+            items.append(", " + parts[0])
+            for column, part in zip(columns, parts[1:]):
+                items += [column, part]
+        items.append("\n")
+    # the literal text between the columns
+    pieces, columns = [""], []
+    for item in items:
+        if isinstance(item, str):
+            pieces[-1] += item
+        else:
+            columns.append(item)
+            pieces.append("")
+    pieces = [p.encode("ascii") for p in pieces]
     yield head + "\n"
     for lo in range(0, len(axes), _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
-        cells = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else _cells(c[lo:hi])
-                 for c in columns]
-        rows = zip(range(lo + 1, hi + 1), axes[lo:hi].tolist(), *cells)
-        yield "".join([row % r for r in rows])
+        hi = min(lo + _BLOCK_ROWS, len(axes))
+        yield _join(pieces, _block_cells(columns, lo, hi))
     for line in foot:
         yield line + "\n"
 
@@ -419,23 +461,21 @@ def _cascade_table(trace: CascadeTrace) -> _Table:
 
 def _mc_table(report: MonteCarloReport) -> _Table:
     n = report.photon_count
-    counts = report.per_stage_survivor_counts
-    before = (n, *counts[:-1])
+    counts = np.array(report.per_stage_survivor_counts, dtype=np.int64)
+    before = np.append(n, counts)[:-1]
+    missing = before == 0
+    stage_prob = (np.divide(counts, before, out=np.zeros(len(counts)), where=~missing), missing)
     estimate, stderr = _num(report.estimate), _num(report.standard_error)
     lo, hi = (_num(x) for x in report.confidence_interval_95)
     return _Table(
         stack=report.config.stack,
-        tsv_columns=(
-            None,
-            [c / p if p > 0 else None for c, p in zip(counts, before)],
-            [c / n for c in counts],
-        ),
+        tsv_columns=(None, stage_prob, counts / n),
         tsv_footer=[
             f"# final_fraction={estimate}",
             f"# estimate={estimate} stderr={stderr} ci95={lo},{hi} seed={report.seed}",
         ],
         heading=_describe_input(report.config.input) + f", {n} photons, seed {report.seed}",
-        text_cells=[("%s photons passed", [f"{c} of {p}" for c, p in zip(counts, before)])],
+        text_cells=[("%s of %s photons passed", counts, before)],
         summary=f"transmitted fraction: {estimate} (stderr {stderr}, 95% CI [{lo}, {hi}])",
     )
 
@@ -550,7 +590,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run the CLI; the report is written to stdout as it is made.
 
     A failure while writing exits 3 like any other crash, possibly after
-    part of the output.
+    part of the output. A reader that closes the pipe early is not a
+    failure: the run stops quietly with 141, the code of a process that
+    SIGPIPE ended.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -561,6 +603,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"polcascade: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        _discard_unwritable(out)
+        return 141
     except Exception as exc:
         # exit code 1 already means "compare failed", so a crash gets its own code
         print(f"polcascade: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

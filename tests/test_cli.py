@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polcascade import cli
+from polcascade import _cells, cli
 from polcascade.cli import (
     ExperimentSpec,
     UsageError,
@@ -315,6 +315,14 @@ class TestExitPolicy:
         assert exit_policy(trace) == 0
 
 
+def _cli_env():
+    # run the CLI of this checkout with buffered stdout, as in a shell
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestMain:
     def test_classical_run(self, capsys):
         code = main(["--filters", "0,45,90", "--input", "unpolarized", "--mode", "classical"])
@@ -381,18 +389,29 @@ class TestMain:
     def test_full_device_exits_3_with_one_line(self):
         # buffered stdout, as in a shell: the interpreter's own flush at exit
         # must not fail again after main has reported the error
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "polcascade.cli", "--filters", "0,45,90", "--mode", "compare"],
-                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+                stdout=full, stderr=subprocess.PIPE, text=True, env=_cli_env(), timeout=60,
             )
         assert proc.returncode == 3
         assert proc.stderr == (
             "polcascade: internal error: OSError: [Errno 28] No space left on device\n"
         )
+
+    def test_closed_pipe_exits_141_quietly(self, tmp_path):
+        # ~1.3 MB of output, more than a pipe holds, so the run is still
+        # writing when the reader goes away after the first line
+        path = tmp_path / "walk.txt"
+        path.write_text("".join(f"{a!r}\n" for a in np.random.default_rng(3).normal(0, 9, 20_000).tolist()))
+        argv = [sys.executable, "-m", "polcascade.cli", "--stack-file", str(path), "--mode", "compare"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env()
+        ) as proc:
+            assert proc.stdout.readline().decode() == TSV_HEADER
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
 
     def test_mc_run_deterministic_output(self, capsys):
         argv = ["--filters", "0,45,90", "--mode", "mc", "--photons", "50000", "--seed", "11"]
@@ -626,6 +645,43 @@ def _random_walk(n, seed=5):
 
 BLOCK = cli._BLOCK_ROWS
 
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def _near_ties(draw):
+    # a 12-digit mantissa and then a 5: a rounding tie at 12 digits, at any
+    # exponent; the test adds the values up to 3 ulps either side
+    digits = draw(st.integers(10**11, 10**12 - 1))
+    tie = float(f"{digits}5e{draw(st.integers(-330, 295))}")
+    return draw(st.sampled_from([1.0, -1.0])) * tie
+
+
+def _with_neighbours(values):
+    # each value and the floats 1, 2 and 3 ulps below and above it
+    out = [np.array(values, dtype=np.float64)]
+    with np.errstate(over="ignore"):  # the float past the largest is inf
+        for toward in (-np.inf, np.inf):
+            x = out[0]
+            for _ in range(3):
+                x = np.nextafter(x, toward)
+                out.append(x)
+    return np.concatenate(out).tolist()
+
+
+# where %g changes layout: fixed form from 1e-4 up to 1e12, a third
+# exponent digit from 1e100, and values whose rounding carries across
+_LAYOUT_EDGES = [
+    1e-5, 1e-4, 1e11, 1e12, 99999999999.95, 0.000099999999999995, 999999999999.5,
+    9.99999999999995e-5, 9.999999999995e99, 1e100, 1e-100, 1e-99, -0.0, 0.0,
+]
+
+
+def _float_cells(values):
+    # the writer's float cells for `values`, as text
+    cells, lengths = _cells.float_cells(np.array(values, dtype=np.float64))
+    return [bytes(c[:n]).decode() for c, n in zip(cells, lengths.tolist())]
+
 
 class TestBlockBoundaries:
     """Every row at and around the writer's block edges, against a reference
@@ -707,9 +763,20 @@ class TestBlockBoundaries:
             assert capsys.readouterr().out == out
             assert run_experiment(parse_spec(argv))[0] == out
 
-    @given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
-    def test_printf_matches_format(self, x):
+    @given(
+        x=_ANY_FLOAT,
+        mixed=st.lists(_ANY_FLOAT | _near_ties(), max_size=40),
+    )
+    def test_printf_matches_format(self, x, mixed):
         assert "%.12g" % x == format(x, ".12g")
+        assert _float_cells([x]) == [format(x, ".12g")]
+        values = _with_neighbours([x, *mixed, *_LAYOUT_EDGES])
+        assert _float_cells(values) == [format(v, ".12g") for v in values]
+
+    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40))
+    def test_int_cells_match_str(self, values):
+        cells = _cells.int_cells(np.array(values, dtype=np.int64))
+        assert [bytes(c).replace(b"\0", b"").decode() for c in cells] == list(map(str, values))
 
 
 class TestRenderMemory:
