@@ -25,23 +25,27 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import TextIO
 
 import numpy as np
 
 from ._cells import float_cells, int_cells, num as _num
-from .core import ClassicalBeam, FilterStack, angle_from_degrees
+from .core import Angle, ClassicalBeam, FilterStack, angle_from_degrees
 from .engines import (
     CascadeTrace,
     ComparisonReport,
     MonteCarloConfig,
     MonteCarloReport,
     PhotonInput,
-    _as_int,
+    _PHOTONS,
+    _SEEDS,
+    _integer,
+    _tolerance,
     compare,
     run_classical,
     run_monte_carlo,
@@ -82,6 +86,9 @@ class ExperimentSpec:
     tolerance: float = 1e-9
     output_format: str = "tsv"
     workers: int = 1
+    # built once, when the spec is made: the run's stack and its input plane
+    stack: FilterStack = field(init=False, repr=False)
+    input_angle: Angle | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -91,36 +98,37 @@ class ExperimentSpec:
         if self.input_kind not in ("unpolarized", "linear"):
             raise UsageError(f"unknown input kind {self.input_kind!r}")
         if self.input_kind == "linear":
-            if self.input_angle_deg is None or not math.isfinite(self.input_angle_deg):
-                raise UsageError("linear input needs a finite angle in degrees")
+            try:
+                object.__setattr__(self, "input_angle", angle_from_degrees(self.input_angle_deg))
+            except (TypeError, ValueError):
+                raise UsageError(f"--input: not a finite angle: {self.input_angle_deg!r}") from None
         elif self.input_angle_deg is not None:
             # --input=unpolarized carries no angle, so to_argv could not round-trip it
             raise UsageError("unpolarized input takes no angle")
-        filters = np.array(self.filters_deg, dtype=np.float64).reshape(-1)
-        finite = np.isfinite(filters)
-        if not finite.all():
-            raise UsageError(f"filter angle must be finite, got {filters[~finite][0].item()!r}")
+        # stricter than ClassicalBeam: a dark beam has no transmitted fraction to report
+        if not isinstance(self.intensity, numbers.Real) or not 0.0 < self.intensity < math.inf:
+            raise UsageError(f"--intensity must be a finite real > 0, got {self.intensity!r}")
+        try:
+            filters = np.array(self.filters_deg, dtype=np.float64).reshape(-1)
+        except (TypeError, ValueError):
+            raise UsageError(f"--filters: not angles in degrees: {self.filters_deg!r}") from None
         filters.flags.writeable = False
         object.__setattr__(self, "filters_deg", filters)
-        for name in ("photons", "seed", "workers"):
-            # an integer, as MonteCarloConfig takes it, so to_argv round-trips
-            value = _as_int(getattr(self, name))
-            if value is None:
-                raise UsageError(f"--{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
-        if not math.isfinite(self.intensity) or self.intensity <= 0.0:
-            raise UsageError(f"--intensity must be > 0, got {self.intensity!r}")
-        if self.mode == "mc" and not 1 <= self.photons < 2**63:
-            raise UsageError(f"--photons must be in [1, 2**63), got {self.photons!r}")
-        if not 0 <= self.seed < 2**64:
-            raise UsageError(f"--seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not math.isfinite(self.tolerance) or self.tolerance < 0.0:
-            raise UsageError(f"--tolerance must be >= 0, got {self.tolerance!r}")
-        if self.workers < 1:
-            raise UsageError(f"--workers must be >= 1, got {self.workers!r}")
+        # the photon range is checked only where photons are sampled
+        photon_range = _PHOTONS if self.mode == "mc" else ()
+        try:
+            # the library's rules, applied in every mode; integers kept as Python ints
+            object.__setattr__(self, "photons", _integer(self.photons, "--photons", *photon_range))
+            object.__setattr__(self, "seed", _integer(self.seed, "--seed", *_SEEDS))
+            object.__setattr__(self, "workers", _integer(self.workers, "--workers", 1))
+            _tolerance(self.tolerance, "--tolerance")
+            object.__setattr__(self, "stack", FilterStack.from_degrees(filters))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
     def _scalars(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "filters_deg")
+        names = [f.name for f in fields(self) if f.init and f.name != "filters_deg"]
+        return tuple(getattr(self, name) for name in names)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExperimentSpec):
@@ -154,9 +162,6 @@ class ExperimentSpec:
         argv.append(f"--format={self.output_format}")
         argv.append(f"--workers={self.workers}")
         return argv
-
-    def stack(self) -> FilterStack:
-        return FilterStack.from_degrees(self.filters_deg)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -530,42 +535,30 @@ def exit_policy(result) -> int:
     return 0
 
 
-def _classical_beam(spec: ExperimentSpec) -> ClassicalBeam:
-    if spec.input_kind == "unpolarized":
-        return ClassicalBeam.unpolarized(spec.intensity)
-    return ClassicalBeam.linear(angle_from_degrees(spec.input_angle_deg), spec.intensity)
-
-
-def _photon_input(spec: ExperimentSpec) -> PhotonInput:
-    if spec.input_kind == "unpolarized":
-        return PhotonInput.unpolarized()
-    return PhotonInput.pure_ket(angle_from_degrees(spec.input_angle_deg))
-
-
 def run_experiment(spec: ExperimentSpec, out: TextIO | None = None) -> tuple[str | None, object]:
     """Execute the requested mode; returns (rendered output, result object).
 
     With `out`, the output is written to it block by block as it is made
     and the first item is None.
     """
-    stack = spec.stack()
+    stack, angle = spec.stack, spec.input_angle
     if spec.mode == "classical":
-        trace = run_classical(_classical_beam(spec), stack)
+        trace = run_classical(ClassicalBeam(spec.intensity, angle), stack)
         return render_trace(trace, spec.output_format, out), trace
     if spec.mode == "quantum":
-        trace = run_quantum_exact(_photon_input(spec), stack)
+        trace = run_quantum_exact(PhotonInput(angle), stack)
         return render_trace(trace, spec.output_format, out), trace
     if spec.mode == "mc":
         config = MonteCarloConfig(
             photon_count=spec.photons,
             seed=spec.seed,
-            input=_photon_input(spec),
+            input=PhotonInput(angle),
             stack=stack,
         )
         report = run_monte_carlo(config, workers=spec.workers)
         return render_trace(report, spec.output_format, out), report
-    classical = run_classical(_classical_beam(spec), stack)
-    quantum = run_quantum_exact(_photon_input(spec), stack)
+    classical = run_classical(ClassicalBeam(spec.intensity, angle), stack)
+    quantum = run_quantum_exact(PhotonInput(angle), stack)
     report = compare(classical, quantum, spec.tolerance)
     return render_comparison(classical, quantum, report, spec.output_format, out), report
 

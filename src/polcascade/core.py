@@ -76,8 +76,9 @@ class FilterStack:
 
     def __post_init__(self) -> None:
         r = np.asarray(self.radians, dtype=np.float64).reshape(-1)
-        if not np.isfinite(r).all():
-            raise ValueError("angle must be finite")
+        finite = np.isfinite(r)
+        if not finite.all():
+            raise ValueError(f"filter angle must be finite, got {r[~finite][0].item()!r}")
         r = np.mod(r, np.pi)  # a new array, never the caller's
         r[r >= np.pi] = 0.0  # same landing-on-the-divisor case as Angle
         r.flags.writeable = False

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +43,34 @@ _CHUNK_SIZE = 1 << 16
 # Philox counter of the stream that draws the binomial chain of stages
 # 2..S. Photon blocks have a zero third word, so the streams never overlap.
 _CHAIN_COUNTER = (0, 0, 1, 0)
+
+# Integer ranges [lo, hi): the binomial chain counts survivors in int64, and
+# a seed is a Philox key, one unsigned 64-bit word.
+_PHOTONS, _SEEDS = (1, 2**63), (0, 2**64)
+
+
+def _integer(value: object, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """`value` as a Python int in [lo, hi), or a ValueError naming `name`.
+
+    Every integer type passes but bool; a float does not, even an integral
+    one. A bound of None is no bound.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        n = int(value)
+        if (lo is None or lo <= n) and (hi is None or n < hi):
+            return n
+    top = f"2**{hi.bit_length() - 1}" if hi and hi > 2**32 and hi.bit_count() == 1 else hi
+    span = "" if lo is None else f" n >= {lo}" if hi is None else f" n in [{lo}, {top})"
+    raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+
+
+def _tolerance(value: object, name: str) -> None:
+    """Raise a ValueError naming `name` unless `value` is a finite real >= 0.
+
+    An infinite tolerance would pass any pair of traces.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite real >= 0, got {value!r}")
 
 
 class ComparisonDomainError(ValueError):
@@ -128,24 +155,9 @@ class MonteCarloConfig:
     stack: FilterStack
 
     def __post_init__(self) -> None:
-        count, seed = _as_int(self.photon_count), _as_int(self.seed)
-        # the binomial chain counts survivors in int64
-        if count is None or not 1 <= count < 2**63:
-            raise ValueError(
-                f"photon_count must be an integer in [1, 2**63), got {self.photon_count!r}"
-            )
-        if seed is None or not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        count = _integer(self.photon_count, "photon_count", *_PHOTONS)
         object.__setattr__(self, "photon_count", count)
-        object.__setattr__(self, "seed", seed)
-
-
-def _as_int(value: object) -> int | None:
-    """`value` as a Python int if it is an integer type other than bool."""
-    try:
-        return None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        return None
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", *_SEEDS))
 
 
 @dataclass(frozen=True)
@@ -256,11 +268,8 @@ def wilson_interval_95(successes: int, trials: int) -> tuple[float, float]:
     Stays inside [0, 1] and keeps a sensible width when the observed
     proportion is 0 or 1, unlike the normal approximation.
     """
-    k, n = _as_int(successes), _as_int(trials)
-    if n is None or n < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    if k is None or not 0 <= k <= n:
-        raise ValueError(f"successes must be an integer in [0, trials], got {successes!r}")
+    n = _integer(trials, "trials", 1)
+    k = _integer(successes, "successes", 0, n + 1)
     z = _Z95
     p_hat = k / n
     denom = 1.0 + z * z / n
@@ -326,9 +335,7 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
     chunk size or execution order. At most min(workers, chunks, CPUs)
     threads run, each summing a strided share of the chunks.
     """
-    requested = _as_int(workers)
-    if requested is None or requested < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    requested = _integer(workers, "workers", 1)
     n = config.photon_count
     stack = config.stack
     if len(stack) == 0:
@@ -395,13 +402,12 @@ def compare(
     Raises
     ------
     ValueError
-        If `tolerance` is not a real number, or is negative or NaN.
+        If `tolerance` is not a finite real number >= 0.
     ComparisonDomainError
         If the traces are not a (classical, quantum) pair over the same
         stack and equivalent input.
     """
-    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real) or not tolerance >= 0:
-        raise ValueError(f"tolerance must be a real number >= 0, got {tolerance!r}")
+    _tolerance(tolerance, "tolerance")
     if not isinstance(classical.input_description, ClassicalBeam):
         raise ComparisonDomainError("first trace must come from the classical engine")
     if not isinstance(quantum.input_description, PhotonInput):
@@ -440,9 +446,7 @@ def staircase_transmission(n: int, start: Angle, end: Angle) -> CascadeTrace:
     probability is (cos^2((end-start)/n))^n, which grows toward 1 as n
     increases: frequent gentle projections pass almost everything.
     """
-    count = _as_int(n)
-    if count is None or count < 1:
-        raise ValueError(f"staircase needs an integer n >= 1 filters, got {n!r}")
+    count = _integer(n, "n", 1)
     step = (end.radians - start.radians) / count
     stack = FilterStack(start.radians + np.arange(1, count + 1) * step)
     return run_quantum_exact(PhotonInput.pure_ket(start), stack)

@@ -603,6 +603,46 @@ class TestInputValidation:
         with pytest.raises(UsageError, match="unpolarized"):
             ExperimentSpec(mode="quantum", input_kind="unpolarized", input_angle_deg=30.0)
 
+    def test_wrong_types_name_the_field(self):
+        # each once escaped as a TypeError or a bare ValueError
+        cases = [
+            ("--tolerance", {"tolerance": "1e-9"}),
+            ("--tolerance", {"tolerance": None}),
+            ("--intensity", {"intensity": "1"}),
+            ("--intensity", {"intensity": None}),
+            ("--input", {"input_kind": "linear", "input_angle_deg": "30"}),
+            ("--input", {"input_kind": "linear", "input_angle_deg": None}),
+            ("--filters", {"filters_deg": ("0", "x")}),
+            ("--filters", {"filters_deg": [object()]}),
+        ]
+        for flag, kwargs in cases:
+            with pytest.raises(UsageError, match=f"^{flag}"):
+                ExperimentSpec(mode="compare", **kwargs)
+
+
+# (flag=value, what stderr names): every one is rejected in every mode
+_BAD_VALUES = [
+    *(("--seed=" + v, "--seed") for v in ("-1", str(2**64))),
+    *(("--workers=" + v, "--workers") for v in ("0", "-2")),
+    *(("--tolerance=" + v, "--tolerance") for v in ("nan", "inf", "-1", "1e400")),
+    *(("--intensity=" + v, "--intensity") for v in ("0", "nan", "inf", "-1", "1e-400")),
+    *(("--filters=" + v, "filter angle") for v in ("0,inf", "nan,45", "0,-inf")),
+    *(("--input=linear:" + v, "--input") for v in ("inf", "nan", "")),
+]
+
+
+class TestEveryModeChecksEveryFlag:
+    @pytest.mark.parametrize("mode", ["classical", "quantum", "mc", "compare"])
+    def test_bad_values_exit_2_and_name_the_flag(self, capsys, mode):
+        base = ["--mode", mode, "--filters=0,45", "--photons", "100"]
+        for arg, named in _BAD_VALUES:
+            assert main([*base, arg]) == 2, arg
+            err = capsys.readouterr().err
+            assert err.startswith("polcascade: error: ") and named in err, (arg, err)
+        # the photon range applies only where photons are sampled
+        assert main([*base, "--photons", "0"]) == (2 if mode == "mc" else 0)
+        assert ("--photons" in capsys.readouterr().err) == (mode == "mc")
+
 
 class TestBenchmarkHooks:
     # the benchmark times rendering by replacing these two module attributes,

@@ -86,6 +86,10 @@ class TestFilterStack:
         s = FilterStack.from_degrees([0, 45, 90])
         assert [a.degrees for a in s.axes] == pytest.approx([0, 45, 90])
 
+    def test_first_non_finite_angle_named(self):
+        with pytest.raises(ValueError, match="finite, got -inf$"):
+            FilterStack([0.0, -math.inf, math.nan])
+
 
 class TestMalusFactor:
     def test_perpendicular_blocks(self):

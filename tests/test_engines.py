@@ -276,7 +276,7 @@ class TestCompare:
         with pytest.raises(ComparisonDomainError):
             compare(quantum, quantum, 1e-9)
 
-    @pytest.mark.parametrize("tolerance", [math.nan, -1e-9])
+    @pytest.mark.parametrize("tolerance", [math.nan, -1e-9, math.inf])
     def test_invalid_tolerance_rejected(self, tolerance):
         stack = stack_of(0, 45)
         classical = run_classical(ClassicalBeam.unpolarized(1.0), stack)
