@@ -506,6 +506,21 @@ GOLDEN = {
     "pass (max diff 1.11022302463e-16, tolerance 1e-09)\n",
 }
 
+# `--filters 0,45,90 --mode mc --photons 100000` at the default seed 42; the
+# counts are pinned too, so a sampling kernel that drifts fails here
+MC_GOLDEN = {
+    "tsv": TSV_HEADER + "1\t0\t-\t0.50012\t0.50012\n"
+    "2\t45\t-\t0.499840038391\t0.24998\n"
+    "3\t90\t-\t0.504280342427\t0.12606\n"
+    "# final_fraction=0.12606\n"
+    "# estimate=0.12606 stderr=0.00104961362605 ci95=0.124017148658,0.12813157974 seed=42\n",
+    "text": "input: unpolarized photons, 100000 photons, seed 42\n"
+    "  stage 1: axis 0 deg, 50012 of 100000 photons passed\n"
+    "  stage 2: axis 45 deg, 24998 of 50012 photons passed\n"
+    "  stage 3: axis 90 deg, 12606 of 24998 photons passed\n"
+    "transmitted fraction: 0.12606 (stderr 0.00104961362605, 95% CI [0.124017148658, 0.12813157974])\n",
+}
+
 
 class TestGoldenOutput:
     @pytest.mark.parametrize("mode,input_kind,fmt", sorted(GOLDEN))
@@ -514,7 +529,13 @@ class TestGoldenOutput:
         assert main(argv) == 0
         assert capsys.readouterr().out == GOLDEN[mode, input_kind, fmt]
 
-    # MC counts are not pinned: each row is checked against the report itself
+    @pytest.mark.parametrize("fmt", ["tsv", "text"])
+    def test_mc_exact_bytes(self, capsys, fmt):
+        argv = ["--filters", "0,45,90", "--mode", "mc", "--photons", "100000", "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == MC_GOLDEN[fmt]
+
+    # each row is checked against the report itself, for any counts
     @pytest.mark.parametrize(
         "filters,input_kind",
         [("0,45,90", "unpolarized"), ("0,45,90", "linear:10"), ("90,45", "linear:0")],

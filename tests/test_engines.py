@@ -553,6 +553,96 @@ class TestMonteCarlo:
         assert abs(report.estimate - 0.5) <= 4 * sigma
 
 
+# Survivor counts through the stack (a, a + 60, a + 120) degrees, keyed by
+# (input plane in degrees, None for unpolarized; first axis a) and then by
+# (seed, photons). Measured once and pinned: a sampling kernel or Philox layout
+# that moves any count by one photon fails here. 65 537 photons end on a
+# one-photon chunk; 179.999999 degrees puts the axis just below pi.
+MC_GOLDEN = {
+    (None, 0.0): {
+        (0, 1): (1, 0, 0),
+        (0, 65_537): (32604, 8285, 2056),
+        (0, 200_001): (100093, 25258, 6288),
+        (42, 1): (0, 0, 0),
+        (42, 65_537): (32796, 8205, 2104),
+        (42, 200_001): (100089, 25031, 6350),
+        (2**64 - 1, 1): (1, 0, 0),
+        (2**64 - 1, 65_537): (32527, 8246, 2084),
+        (2**64 - 1, 200_001): (99858, 25165, 6323),
+    },
+    (None, 45.0): {
+        (0, 1): (1, 0, 0),
+        (0, 65_537): (32926, 8366, 2076),
+        (0, 200_001): (100030, 25242, 6284),
+        (42, 1): (1, 1, 0),
+        (42, 65_537): (32909, 8233, 2111),
+        (42, 200_001): (100002, 25009, 6344),
+        (2**64 - 1, 1): (0, 0, 0),
+        (2**64 - 1, 65_537): (32842, 8325, 2104),
+        (2**64 - 1, 200_001): (100202, 25252, 6345),
+    },
+    (None, 90.0): {
+        (0, 1): (1, 0, 0),
+        (0, 65_537): (32762, 8324, 2066),
+        (0, 200_001): (99744, 25170, 6266),
+        (42, 1): (0, 0, 0),
+        (42, 65_537): (32696, 8180, 2098),
+        (42, 200_001): (99951, 24996, 6341),
+        (2**64 - 1, 1): (1, 0, 0),
+        (2**64 - 1, 65_537): (32842, 8325, 2104),
+        (2**64 - 1, 200_001): (100003, 25202, 6332),
+    },
+    (None, 179.999999): {
+        (0, 1): (1, 0, 0),
+        (0, 65_537): (32604, 8285, 2056),
+        (0, 200_001): (100093, 25258, 6288),
+        (42, 1): (0, 0, 0),
+        (42, 65_537): (32796, 8205, 2104),
+        (42, 200_001): (100089, 25031, 6350),
+        (2**64 - 1, 1): (1, 0, 0),
+        (2**64 - 1, 65_537): (32527, 8245, 2084),
+        (2**64 - 1, 200_001): (99858, 25165, 6323),
+    },
+    (25.0, 0.0): {
+        (0, 1): (1, 0, 0),
+        (0, 65_537): (53840, 13632, 3389),
+        (0, 200_001): (164194, 41349, 10303),
+        (42, 1): (1, 1, 0),
+        (42, 65_537): (53948, 13494, 3440),
+        (42, 200_001): (164378, 41106, 10394),
+        (2**64 - 1, 1): (1, 0, 0),
+        (2**64 - 1, 65_537): (53900, 13623, 3432),
+        (2**64 - 1, 200_001): (164425, 41365, 10380),
+    },
+}
+
+
+def golden_config(plane, first, seed, photons):
+    photon_input = PhotonInput.unpolarized() if plane is None else PhotonInput.pure_ket(deg(plane))
+    return MonteCarloConfig(photons, seed, photon_input, stack_of(first, first + 60, first + 120))
+
+
+class TestGoldenCounts:
+    @pytest.mark.parametrize(
+        "plane,first,seed,photons",
+        [(*key, *run) for key, runs in MC_GOLDEN.items() for run in runs],
+    )
+    def test_counts_are_pinned(self, plane, first, seed, photons):
+        config = golden_config(plane, first, seed, photons)
+        for workers in (1, 2):
+            report = run_monte_carlo(config, workers=workers)
+            assert report.per_stage_survivor_counts == MC_GOLDEN[plane, first][seed, photons]
+
+    @pytest.mark.parametrize("plane,first", list(MC_GOLDEN))
+    def test_counts_are_pinned_with_odd_chunk_starts(self, monkeypatch, plane, first):
+        # 7-photon chunks: every other chunk starts on an odd photon
+        monkeypatch.setattr(engines, "_CHUNK_SIZE", 7)
+        config = golden_config(plane, first, 2**64 - 1, 65_537)
+        for workers in (1, 2):
+            report = run_monte_carlo(config, workers=workers)
+            assert report.per_stage_survivor_counts == MC_GOLDEN[plane, first][2**64 - 1, 65_537]
+
+
 class TestWilsonInterval:
     def test_rejects_zero_trials(self):
         bad = [
