@@ -11,8 +11,10 @@ match, bit for bit, a loop over the single-filter functions in
 * :func:`run_monte_carlo` samples each photon at the first filter from its
   own counter-based random draws; the survivors, all collapsed onto that
   axis, then pass the later filters as a chain of binomial draws with the
-  same Born-rule stage probabilities. Results are bit-identical for a fixed
-  seed no matter how the photons are partitioned across workers.
+  same Born-rule stage probabilities. An unpolarized photon's stage-1 test
+  is screened in float32 and near-ties are decided in float64, so every
+  decision is the float64 one. Results are bit-identical for a fixed seed
+  no matter how the photons are partitioned across workers.
 
 A :class:`CascadeTrace` holds one array per column an engine produces; its
 `stages` are a per-row view. :func:`compare` reconciles the classical
@@ -39,6 +41,15 @@ _Z95 = 1.959963984540054
 # Photons per work unit; stage-1 counts reduce by integer addition, so any
 # partitioning yields identical results.
 _CHUNK_SIZE = 1 << 16
+
+# Margin of the float32 screen of the unpolarized stage-1 test. The screen's
+# argument pi*v - a is off by at most ~5 * 2**-24 * pi ~ 1e-6 (v in [0, 1), a
+# in [0, pi), five float32 roundings), so its cos^2 is off from the float64
+# one by at most ~1e-6 (4e-7 over a dense grid of v and a), and its
+# u0 - cos^2 by ~1e-7 more, from two more roundings. A photon whose float32
+# u0 - cos^2 lies within this margin of 0 is decided by the float64 test
+# instead, so every decision is the float64 one; about 2e-5 of photons are.
+_SCREEN_MARGIN = 1e-5
 
 # Philox counter of the stream that draws the binomial chain of stages
 # 2..S. Photon blocks have a zero third word, so the streams never overlap.
@@ -287,6 +298,40 @@ def _effective_workers(workers: int, n_chunks: int, cpus: int | None) -> int:
     return max(1, min(workers, n_chunks, cpus or 1))
 
 
+def _passes_first(u0: np.ndarray, v: np.ndarray, axis: float) -> np.ndarray:
+    """Whether unpolarized photons with draws (u0, v) pass the first filter.
+
+    This float64 test defines the counts: the photon's plane pi * v is
+    uniform on [0, pi), and it passes iff u0 is below cos^2 of that plane's
+    angle to `axis`.
+    """
+    c = np.cos(np.pi * v - axis)
+    return u0 < c * c
+
+
+def _screen(u: np.ndarray, axis: float, d: np.ndarray) -> None:
+    """Write u0 - cos(pi * v - axis)^2 of each draw pair in `u` to `d`, in float32."""
+    f32 = np.float32
+    np.multiply(u[:, 1], f32(np.pi), out=d, dtype=f32, casting="same_kind")
+    d -= f32(axis)
+    np.cos(d, out=d)
+    np.square(d, out=d)
+    np.subtract(u[:, 0], d, out=d, dtype=f32, casting="same_kind")
+
+
+def _screened_passes(u: np.ndarray, axis: float, d: np.ndarray, near: np.ndarray) -> int:
+    """count_nonzero(_passes_first(u[:, 0], u[:, 1], axis)), mostly in float32.
+
+    The float32 screen decides each photon whose margin u0 - cos^2 is
+    beyond _SCREEN_MARGIN; the float64 test decides the rest. `d` (float32)
+    and `near` (bool) are scratch as long as `u`.
+    """
+    _screen(u, axis, d)
+    passed = int(np.count_nonzero(np.less(d, -_SCREEN_MARGIN, out=near)))
+    ties = np.flatnonzero(np.less_equal(np.abs(d, out=d), _SCREEN_MARGIN, out=near))
+    return passed + int(np.count_nonzero(_passes_first(u[ties, 0], u[ties, 1], axis)))
+
+
 def _first_stage_survivors(
     config: MonteCarloConfig, p_first: float, first_chunk: int, stride: int
 ) -> int:
@@ -297,18 +342,21 @@ def _first_stage_survivors(
     second its plane angle as a fraction of pi when the input is
     unpolarized. A chunk that starts on an odd photon draws the pair of the
     photon before it too and drops it. `p_first` is the pass probability of
-    a linearly polarized input.
+    a linearly polarized input. The draw and scratch buffers are allocated
+    once and reused for every chunk.
     """
     n, size = config.photon_count, _CHUNK_SIZE
+    rows = min(size, n)
+    draws = np.empty((rows + 1, 2))
+    d, near = np.empty(rows, np.float32), np.empty(rows, np.bool_)
     first_axis = config.stack.radians[0]
     passed = 0
     for start in range(first_chunk * size, n, stride * size):
         count, odd = min(size, n - start), start % 2
         bg = np.random.Philox(key=config.seed, counter=[start // 2, 0, 0, 0])
-        u = np.random.Generator(bg).random((count + odd, 2))[odd:]
+        u = np.random.Generator(bg).random(out=draws[: count + odd])[odd:]
         if config.input.is_unpolarized:
-            c = np.cos(np.pi * u[:, 1] - first_axis)
-            passed += int(np.count_nonzero(u[:, 0] < c * c))
+            passed += _screened_passes(u, first_axis, d[:count], near[:count])
         else:
             passed += int(np.count_nonzero(u[:, 0] < p_first))
     return passed

@@ -643,6 +643,70 @@ class TestGoldenCounts:
             assert report.per_stage_survivor_counts == MC_GOLDEN[plane, first][2**64 - 1, 65_537]
 
 
+def screen_cos2(v, axis):
+    """The float32 cos^2 the screen computes: with u0 = 0 its margin is -cos^2."""
+    u = np.column_stack((np.zeros_like(v), v))
+    d = np.empty(len(v), np.float32)
+    engines._screen(u, axis, d)
+    return -d.astype(np.float64)
+
+
+def float64_cos2(v, axis):
+    c = np.cos(np.pi * v - axis)
+    return c * c
+
+
+def screened(u, axis):
+    n = len(u)
+    return engines._screened_passes(u, axis, np.empty(n, np.float32), np.empty(n, np.bool_))
+
+
+# axes in [0, pi): a grid, the largest canonical axis and 179.999999 degrees
+SCREEN_AXES = [
+    *np.linspace(0.0, np.pi, 64, endpoint=False),
+    np.nextafter(np.pi, 0.0),
+    stack_of(179.999999).radians[0],
+]
+
+
+class TestStageOneScreen:
+    def test_float32_cos2_within_a_tenth_of_the_margin(self):
+        v = np.concatenate((np.linspace(0.0, 1.0, 1 << 14, endpoint=False), [1.0 - 2.0**-53]))
+        worst = max(
+            float(np.max(np.abs(screen_cos2(v, axis) - float64_cos2(v, axis))))
+            for axis in SCREEN_AXES
+        )
+        assert worst <= engines._SCREEN_MARGIN / 10
+
+    def test_near_ties_are_decided_by_the_float64_test(self, monkeypatch):
+        # u0 exactly at the float64 cos^2 and one ulp either side of it: every
+        # photon lands inside the margin, and only the float64 test gets the
+        # one-ulp decisions right
+        rng = np.random.default_rng(20241018)
+        v = np.concatenate(([0.0, 0.5, 1.0 - 2.0**-53], rng.random(200)))
+        oracle, fixed_up = engines._passes_first, []
+
+        def recording_oracle(u0, v, axis):
+            fixed_up.append(len(u0))
+            return oracle(u0, v, axis)
+
+        monkeypatch.setattr(engines, "_passes_first", recording_oracle)
+        for axis in SCREEN_AXES[::8]:
+            c2 = float64_cos2(v, axis)
+            for u0 in (c2, np.nextafter(c2, -np.inf), np.nextafter(c2, np.inf)):
+                u = np.column_stack((u0, v))
+                expected = oracle(u0, v, axis)
+                decided = [screened(u[i : i + 1], axis) for i in range(len(u))]
+                assert decided == expected.astype(int).tolist()
+                assert screened(u, axis) == np.count_nonzero(expected)
+        assert sum(fixed_up) == 2 * 3 * len(v) * len(SCREEN_AXES[::8])
+
+    @pytest.mark.parametrize("axis", SCREEN_AXES[::5], ids=lambda a: f"{a:.6f}")
+    def test_screened_count_equals_the_float64_count(self, axis):
+        u = np.random.Generator(np.random.Philox(key=3)).random((1 << 16, 2))
+        assert screened(u, axis) == np.count_nonzero(engines._passes_first(u[:, 0], u[:, 1], axis))
+
+
 class TestWilsonInterval:
     def test_rejects_zero_trials(self):
         bad = [
