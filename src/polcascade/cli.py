@@ -68,6 +68,13 @@ class UsageError(ValueError):
     """Bad command line or stack file; maps to exit code 2."""
 
 
+def _real(value: object) -> float | None:
+    """A real number other than a bool as a Python float; None for anything else."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
     """Validated description of one experiment run.
@@ -97,17 +104,22 @@ class ExperimentSpec:
             raise UsageError(f"unknown format {self.output_format!r}")
         if self.input_kind not in ("unpolarized", "linear"):
             raise UsageError(f"unknown input kind {self.input_kind!r}")
+        # real fields are held as Python floats, which to_argv writes with float repr
         if self.input_kind == "linear":
+            angle = _real(self.input_angle_deg)
             try:
-                object.__setattr__(self, "input_angle", angle_from_degrees(self.input_angle_deg))
+                object.__setattr__(self, "input_angle", angle_from_degrees(angle))
             except (TypeError, ValueError):
                 raise UsageError(f"--input: not a finite angle: {self.input_angle_deg!r}") from None
+            object.__setattr__(self, "input_angle_deg", angle)
         elif self.input_angle_deg is not None:
             # --input=unpolarized carries no angle, so to_argv could not round-trip it
             raise UsageError("unpolarized input takes no angle")
         # stricter than ClassicalBeam: a dark beam has no transmitted fraction to report
-        if not isinstance(self.intensity, numbers.Real) or not 0.0 < self.intensity < math.inf:
+        intensity = _real(self.intensity)
+        if intensity is None or not 0.0 < intensity < math.inf:
             raise UsageError(f"--intensity must be a finite real > 0, got {self.intensity!r}")
+        object.__setattr__(self, "intensity", intensity)
         try:
             filters = np.array(self.filters_deg, dtype=np.float64).reshape(-1)
         except (TypeError, ValueError):
@@ -122,6 +134,7 @@ class ExperimentSpec:
             object.__setattr__(self, "seed", _integer(self.seed, "--seed", *_SEEDS))
             object.__setattr__(self, "workers", _integer(self.workers, "--workers", 1))
             _tolerance(self.tolerance, "--tolerance")
+            object.__setattr__(self, "tolerance", float(self.tolerance))
             object.__setattr__(self, "stack", FilterStack.from_degrees(filters))
         except ValueError as exc:
             raise UsageError(str(exc)) from None

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from polcascade import _cells, cli
 from polcascade.cli import (
@@ -226,10 +226,14 @@ spec_strategy = st.builds(
 
 class TestRoundTrip:
     @given(spec=spec_strategy)
+    @example(spec=ExperimentSpec(mode="compare", intensity=np.float64(2.5), tolerance=np.float32(1e-9)))
+    @example(spec=ExperimentSpec(mode="mc", intensity=np.float32(0.3), tolerance=np.float64(1e-9)))
     def test_canonical_argv_round_trips(self, spec):
         assert parse_spec(spec.to_argv()) == spec
 
     @given(angle=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    @example(angle=np.float64(-12.5))
+    @example(angle=np.float32(25.3))
     def test_linear_input_round_trips(self, angle):
         spec = ExperimentSpec(
             mode="quantum", input_kind="linear", input_angle_deg=angle
@@ -623,6 +627,19 @@ class TestInputValidation:
     def test_unpolarized_input_takes_no_angle(self):
         with pytest.raises(UsageError, match="unpolarized"):
             ExperimentSpec(mode="quantum", input_kind="unpolarized", input_angle_deg=30.0)
+
+    def test_real_fields_are_python_floats_and_not_bools(self):
+        # a numpy float once rendered as `np.float64(...)` in to_argv, and a
+        # bool as `True`; parse_spec rejected both
+        fields = [("intensity", "--intensity"), ("tolerance", "--tolerance"), ("input_angle_deg", "--input")]
+        for name, flag in fields:
+            kwargs = {"input_kind": "linear", "input_angle_deg": 10.0}
+            with pytest.raises(UsageError, match=f"^{flag}"):
+                ExperimentSpec(mode="compare", **{**kwargs, name: True})
+            for value in (np.float64(0.5), np.float32(0.5), 1):
+                spec = ExperimentSpec(mode="compare", **{**kwargs, name: value})
+                assert type(getattr(spec, name)) is float
+                assert parse_spec(spec.to_argv()) == spec
 
     def test_wrong_types_name_the_field(self):
         # each once escaped as a TypeError or a bare ValueError
