@@ -695,7 +695,8 @@ class TestStageOneScreen:
             c2 = float64_cos2(v, axis)
             for u0 in (c2, np.nextafter(c2, -np.inf), np.nextafter(c2, np.inf)):
                 u = np.column_stack((u0, v))
-                expected = oracle(u0, v, axis)
+                expected = u0 < c2  # the float64 stage-1 test, written out
+                assert np.array_equal(oracle(u0, v, axis), expected)
                 decided = [screened(u[i : i + 1], axis) for i in range(len(u))]
                 assert decided == expected.astype(int).tolist()
                 assert screened(u, axis) == np.count_nonzero(expected)
