@@ -702,10 +702,11 @@ class TestStageOneScreen:
                 assert screened(u, axis) == np.count_nonzero(expected)
         assert sum(fixed_up) == 2 * 3 * len(v) * len(SCREEN_AXES[::8])
 
-    @pytest.mark.parametrize("axis", SCREEN_AXES[::5], ids=lambda a: f"{a:.6f}")
-    def test_screened_count_equals_the_float64_count(self, axis):
+    def test_screened_count_equals_the_float64_count(self):
         u = np.random.Generator(np.random.Philox(key=3)).random((1 << 16, 2))
-        assert screened(u, axis) == np.count_nonzero(engines._passes_first(u[:, 0], u[:, 1], axis))
+        for axis in SCREEN_AXES:
+            expected = np.count_nonzero(engines._passes_first(u[:, 0], u[:, 1], axis))
+            assert screened(u, axis) == expected
 
 
 class TestWilsonInterval:
