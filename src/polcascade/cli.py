@@ -55,6 +55,19 @@ from .engines import (
 _MODES = ("classical", "quantum", "mc", "compare")
 _FORMATS = ("tsv", "text")
 
+# each flag and the ExperimentSpec field it sets, in to_argv's order
+_FIELDS = {
+    "--filters": "filters_deg",
+    "--input": "input_angle_deg",
+    "--intensity": "intensity",
+    "--mode": "mode",
+    "--photons": "photons",
+    "--seed": "seed",
+    "--tolerance": "tolerance",
+    "--format": "output_format",
+    "--workers": "workers",
+}
+
 _TSV_HEADER = "stage\taxis_deg\tclassical_intensity\tstage_prob\tcumulative_prob"
 
 # rows formatted and joined at a time: bounds the cells and row strings alive at once
@@ -85,8 +98,7 @@ class ExperimentSpec:
 
     mode: str
     filters_deg: np.ndarray = ()
-    input_kind: str = "unpolarized"  # "unpolarized" | "linear"
-    input_angle_deg: float | None = None
+    input_angle_deg: float | None = None  # None: unpolarized
     intensity: float = 1.0
     photons: int = 1_000_000
     seed: int = 42
@@ -102,19 +114,14 @@ class ExperimentSpec:
             raise UsageError(f"unknown mode {self.mode!r}")
         if self.output_format not in _FORMATS:
             raise UsageError(f"unknown format {self.output_format!r}")
-        if self.input_kind not in ("unpolarized", "linear"):
-            raise UsageError(f"unknown input kind {self.input_kind!r}")
         # real fields are held as Python floats, which to_argv writes with float repr
-        if self.input_kind == "linear":
+        if self.input_angle_deg is not None:
             angle = _real(self.input_angle_deg)
             try:
                 object.__setattr__(self, "input_angle", angle_from_degrees(angle))
             except (TypeError, ValueError):
                 raise UsageError(f"--input: not a finite angle: {self.input_angle_deg!r}") from None
             object.__setattr__(self, "input_angle_deg", angle)
-        elif self.input_angle_deg is not None:
-            # --input=unpolarized carries no angle, so to_argv could not round-trip it
-            raise UsageError("unpolarized input takes no angle")
         # stricter than ClassicalBeam: a dark beam has no transmitted fraction to report
         intensity = _real(self.intensity)
         if intensity is None or not 0.0 < intensity < math.inf:
@@ -157,23 +164,20 @@ class ExperimentSpec:
     def to_argv(self) -> list[str]:
         """Canonical flag list; parsing it back yields an identical spec.
 
-        Floats are rendered with repr so the round trip is lossless; the
-        `--flag=value` form keeps negative angles unambiguous.
+        Each field is held as a Python int, float or str, whose str is its
+        repr, so the round trip is lossless; the `--flag=value` form keeps
+        negative angles unambiguous.
         """
         argv = []
-        if len(self.filters_deg):
-            argv.append("--filters=" + ",".join(map(repr, self.filters_deg.tolist())))
-        if self.input_kind == "linear":
-            argv.append(f"--input=linear:{self.input_angle_deg!r}")
-        else:
-            argv.append("--input=unpolarized")
-        argv.append(f"--intensity={self.intensity!r}")
-        argv.append(f"--mode={self.mode}")
-        argv.append(f"--photons={self.photons}")
-        argv.append(f"--seed={self.seed}")
-        argv.append(f"--tolerance={self.tolerance!r}")
-        argv.append(f"--format={self.output_format}")
-        argv.append(f"--workers={self.workers}")
+        for flag, name in _FIELDS.items():
+            value = getattr(self, name)
+            if name == "filters_deg":
+                if not len(value):
+                    continue
+                value = ",".join(map(repr, value.tolist()))
+            elif name == "input_angle_deg":
+                value = "unpolarized" if value is None else f"linear:{value}"
+            argv.append(f"{flag}={value}")
         return argv
 
 
@@ -184,62 +188,64 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _number(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {token!r}") from None
+
+
+def _whole_number(token: str) -> int:
+    try:
+        return int(token, 10)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {token!r}") from None
+
+
+def _angle_list(token: str) -> tuple[float, ...]:
+    return tuple(map(_number, token.split(",")))
+
+
+def _input_angle(token: str) -> float | None:
+    if token == "unpolarized":
+        return None
+    if token.startswith("linear:"):
+        return _number(token[len("linear:"):])
+    raise argparse.ArgumentTypeError(f"expected 'unpolarized' or 'linear:<deg>', got {token!r}")
+
+
 def _build_parser() -> _Parser:
+    # a flag left out is missing from the namespace, so the spec's default applies
     parser = _Parser(
         prog="polcascade",
         description=(
             "Simulate light transmission through a stack of ideal linear "
             "polarizers with classical, exact quantum, and Monte Carlo engines."
         ),
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument(
-        "--filters",
-        metavar="A,B,C",
-        help="comma-separated polarizer axis angles in degrees, in order",
-    )
-    parser.add_argument(
-        "--stack-file",
-        metavar="PATH",
+
+    def add(flag: str, **options) -> None:
+        # --stack-file sets no field (parse_spec reads the file), so it keeps stack_file
+        parser.add_argument(flag, dest=_FIELDS.get(flag), **options)
+
+    add("--filters", type=_angle_list, metavar="A,B,C",
+        help="comma-separated polarizer axis angles in degrees, in order")
+    add("--stack-file", metavar="PATH",
         help="file with one axis angle in degrees per line (# comments allowed); "
-        "--filters takes precedence",
-    )
-    parser.add_argument(
-        "--input",
-        default="unpolarized",
-        metavar="KIND",
-        help="'unpolarized' or 'linear:<deg>' (default: unpolarized)",
-    )
-    parser.add_argument("--intensity", default="1.0", help="input intensity > 0 (default 1.0)")
-    parser.add_argument(
-        "--mode",
-        required=True,
-        choices=_MODES,
-        help="which engine to run, or 'compare' for classical vs quantum",
-    )
-    parser.add_argument("--photons", default="1000000", help="photon count for mc mode (default 1000000)")
-    parser.add_argument("--seed", default="42", help="Monte Carlo seed, unsigned 64-bit (default 42)")
-    parser.add_argument("--tolerance", default="1e-9", help="compare-mode tolerance (default 1e-9)")
-    parser.add_argument("--format", default="tsv", choices=_FORMATS, help="output format (default tsv)")
-    parser.add_argument(
-        "--workers",
-        default="1",
-        help="worker count for mc mode; results do not depend on it (default 1)",
-    )
+        "--filters takes precedence")
+    add("--input", type=_input_angle, metavar="KIND",
+        help="'unpolarized' or 'linear:<deg>' (default: unpolarized)")
+    add("--intensity", type=_number, help="input intensity > 0 (default 1.0)")
+    add("--mode", required=True, choices=_MODES,
+        help="which engine to run, or 'compare' for classical vs quantum")
+    add("--photons", type=_whole_number, help="photon count for mc mode (default 1000000)")
+    add("--seed", type=_whole_number, help="Monte Carlo seed, unsigned 64-bit (default 42)")
+    add("--tolerance", type=_number, help="compare-mode tolerance (default 1e-9)")
+    add("--format", choices=_FORMATS, help="output format (default tsv)")
+    add("--workers", type=_whole_number,
+        help="worker count for mc mode; results do not depend on it (default 1)")
     return parser
-
-
-def _parse_float(token: str, flag: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise UsageError(f"{flag}: not a number: {token!r}") from None
-
-
-def _parse_int(token: str, flag: str) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise UsageError(f"{flag}: not an integer: {token!r}") from None
 
 
 def _pieces(text: str) -> Iterator[str]:
@@ -295,46 +301,18 @@ def parse_spec(argv: list[str], stack_file_text: str | None = None) -> Experimen
     flag's path is then only a label). Explicit --filters angles override
     stack-file contents.
     """
-    ns = _build_parser().parse_args(argv)
-
-    if ns.filters is not None:
-        filters = tuple(
-            _parse_float(tok, "--filters") for tok in ns.filters.split(",")
-        )
-    elif stack_file_text is not None:
-        filters = parse_stack_text(stack_file_text)
-    elif ns.stack_file is not None:
+    args = vars(_build_parser().parse_args(argv))
+    stack_file = args.pop("stack_file", None)
+    if "filters_deg" not in args and stack_file_text is not None:
+        args["filters_deg"] = parse_stack_text(stack_file_text)
+    elif "filters_deg" not in args and stack_file is not None:
         try:
-            with open(ns.stack_file, encoding="utf-8") as fh:
+            with open(stack_file, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"--stack-file: cannot read {ns.stack_file!r}: {exc}") from None
-        filters = parse_stack_text(text, source=ns.stack_file)
-    else:
-        filters = ()
-
-    if ns.input == "unpolarized":
-        kind, angle = "unpolarized", None
-    elif ns.input.startswith("linear:"):
-        kind = "linear"
-        angle = _parse_float(ns.input[len("linear:"):], "--input")
-    else:
-        raise UsageError(
-            f"--input: expected 'unpolarized' or 'linear:<deg>', got {ns.input!r}"
-        )
-
-    return ExperimentSpec(
-        mode=ns.mode,
-        filters_deg=filters,
-        input_kind=kind,
-        input_angle_deg=angle,
-        intensity=_parse_float(ns.intensity, "--intensity"),
-        photons=_parse_int(ns.photons, "--photons"),
-        seed=_parse_int(ns.seed, "--seed"),
-        tolerance=_parse_float(ns.tolerance, "--tolerance"),
-        output_format=ns.format,
-        workers=_parse_int(ns.workers, "--workers"),
-    )
+            raise UsageError(f"--stack-file: cannot read {stack_file!r}: {exc}") from None
+        args["filters_deg"] = parse_stack_text(text, source=stack_file)
+    return ExperimentSpec(**args)
 
 
 def _block_cells(columns: list, lo: int, hi: int) -> list[np.ndarray]:

@@ -166,6 +166,10 @@ class MonteCarloConfig:
     stack: FilterStack
 
     def __post_init__(self) -> None:
+        if not isinstance(self.input, PhotonInput):
+            raise ValueError(f"input must be a PhotonInput, got {self.input!r}")
+        if not isinstance(self.stack, FilterStack):
+            raise ValueError(f"stack must be a FilterStack, got {self.stack!r}")
         count = _integer(self.photon_count, "photon_count", *_PHOTONS)
         object.__setattr__(self, "photon_count", count)
         object.__setattr__(self, "seed", _integer(self.seed, "seed", *_SEEDS))
@@ -398,11 +402,8 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
         def share(k: int) -> int:
             return _first_stage_survivors(config, probs[0], k, threads)
 
-        if threads == 1:
-            survivors = share(0)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                survivors = sum(pool.map(share, range(threads)))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            survivors = sum(pool.map(share, range(threads)))
         chain = np.random.Generator(np.random.Philox(key=config.seed, counter=_CHAIN_COUNTER))
         survivor_counts = [survivors]
         for p in probs[1:]:
@@ -423,18 +424,6 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
     )
 
 
-def _compatible_inputs(
-    classical: ClassicalBeam | PhotonInput, quantum: ClassicalBeam | PhotonInput
-) -> bool:
-    # unpolarized matches unpolarized; a linear beam matches a pure ket at
-    # the same canonical plane angle
-    if isinstance(classical, ClassicalBeam) and isinstance(quantum, PhotonInput):
-        if classical.plane is None:
-            return quantum.is_unpolarized
-        return quantum.angle == classical.plane
-    return False
-
-
 def compare(
     classical: CascadeTrace, quantum: CascadeTrace, tolerance: float
 ) -> ComparisonReport:
@@ -453,14 +442,16 @@ def compare(
         If `tolerance` is not a finite real number >= 0.
     ComparisonDomainError
         If the traces are not a (classical, quantum) pair over the same
-        stack and equivalent input.
+        stack and equivalent input, or the classical input is dark.
     """
     _tolerance(tolerance, "tolerance")
     if not isinstance(classical.input_description, ClassicalBeam):
         raise ComparisonDomainError("first trace must come from the classical engine")
     if not isinstance(quantum.input_description, PhotonInput):
         raise ComparisonDomainError("second trace must come from the quantum engine")
-    if not _compatible_inputs(classical.input_description, quantum.input_description):
+    # unpolarized (None) matches unpolarized; a linear beam matches a pure
+    # ket at the same canonical plane angle
+    if classical.input_description.plane != quantum.input_description.angle:
         raise ComparisonDomainError("traces describe different input kinds")
     if classical.stack != quantum.stack:
         raise ComparisonDomainError("traces describe different filter stacks")
@@ -470,7 +461,9 @@ def compare(
         raise ComparisonDomainError("quantum trace is missing stage probabilities")
 
     intensity_in = classical.input_description.intensity
-    fractions = classical.classical_intensity_after / intensity_in if intensity_in > 0.0 else 0.0
+    if intensity_in == 0.0:
+        raise ComparisonDomainError("classical input is dark, so it has no transmitted fraction")
+    fractions = classical.classical_intensity_after / intensity_in
     diffs = np.abs(fractions - quantum.cumulative_probability)
     final_diff = abs(
         classical.final_transmitted_fraction - quantum.final_transmitted_fraction

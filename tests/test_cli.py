@@ -44,16 +44,19 @@ class TestParseSpec:
     def test_perpendicular_arrangement(self):
         spec = parse_spec(["--filters", "0,90", "--input", "unpolarized", "--mode", "classical"])
         assert tuple(spec.filters_deg.tolist()) == (0.0, 90.0)
-        assert spec.input_kind == "unpolarized"
+        assert spec.input_angle_deg is None
         assert spec.mode == "classical"
 
     def test_compare_defaults(self):
         spec = parse_spec(["--filters", "0,45,90", "--mode", "compare"])
-        assert spec.input_kind == "unpolarized"
+        assert spec.input_angle_deg is None
         assert spec.tolerance == 1e-9
         assert spec.intensity == 1.0
         assert spec.photons == 1_000_000
         assert spec.seed == 42
+        # a flag left out takes the spec's own default, which lives only there
+        for mode in cli._MODES:
+            assert parse_spec(["--mode", mode]) == ExperimentSpec(mode=mode)
 
     def test_zero_photons_rejected(self):
         for photons in ("0", str(2**63)):
@@ -62,12 +65,18 @@ class TestParseSpec:
 
     def test_linear_input(self):
         spec = parse_spec(["--mode", "quantum", "--input", "linear:30.5"])
-        assert spec.input_kind == "linear"
         assert spec.input_angle_deg == 30.5
 
     def test_bad_input_kind_named(self):
         with pytest.raises(UsageError, match="circular"):
             parse_spec(["--mode", "quantum", "--input", "circular"])
+
+    def test_every_token_is_converted(self):
+        # argparse converts each token as it reads it, so a malformed one is
+        # an error even when a repeat of its flag or -h comes after it
+        for tail in (["--workers=1.5", "--workers=1"], ["--photons", "x", "-h"]):
+            with pytest.raises(UsageError, match="^argument --"):
+                parse_spec(["--mode", "mc", *tail])
 
     def test_bad_angle_token_named(self):
         with pytest.raises(UsageError, match="'45x'"):
@@ -214,7 +223,6 @@ spec_strategy = st.builds(
     filters_deg=st.tuples() | st.lists(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=6
     ).map(tuple),
-    input_kind=st.just("unpolarized"),
     intensity=st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
     photons=st.integers(min_value=1, max_value=10**9),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -235,9 +243,7 @@ class TestRoundTrip:
     @example(angle=np.float64(-12.5))
     @example(angle=np.float32(25.3))
     def test_linear_input_round_trips(self, angle):
-        spec = ExperimentSpec(
-            mode="quantum", input_kind="linear", input_angle_deg=angle
-        )
+        spec = ExperimentSpec(mode="quantum", input_angle_deg=angle)
         assert parse_spec(spec.to_argv()) == spec
 
 
@@ -624,16 +630,12 @@ class TestInputValidation:
         with pytest.raises(UsageError, match="finite, got -inf$"):
             ExperimentSpec(mode="classical", filters_deg=(0.0, -np.inf, np.nan))
 
-    def test_unpolarized_input_takes_no_angle(self):
-        with pytest.raises(UsageError, match="unpolarized"):
-            ExperimentSpec(mode="quantum", input_kind="unpolarized", input_angle_deg=30.0)
-
     def test_real_fields_are_python_floats_and_not_bools(self):
         # a numpy float once rendered as `np.float64(...)` in to_argv, and a
         # bool as `True`; parse_spec rejected both
         fields = [("intensity", "--intensity"), ("tolerance", "--tolerance"), ("input_angle_deg", "--input")]
         for name, flag in fields:
-            kwargs = {"input_kind": "linear", "input_angle_deg": 10.0}
+            kwargs = {"input_angle_deg": 10.0}
             with pytest.raises(UsageError, match=f"^{flag}"):
                 ExperimentSpec(mode="compare", **{**kwargs, name: True})
             for value in (np.float64(0.5), np.float32(0.5), 1):
@@ -648,8 +650,7 @@ class TestInputValidation:
             ("--tolerance", {"tolerance": None}),
             ("--intensity", {"intensity": "1"}),
             ("--intensity", {"intensity": None}),
-            ("--input", {"input_kind": "linear", "input_angle_deg": "30"}),
-            ("--input", {"input_kind": "linear", "input_angle_deg": None}),
+            ("--input", {"input_angle_deg": "30"}),
             ("--filters", {"filters_deg": ("0", "x")}),
             ("--filters", {"filters_deg": [object()]}),
         ]

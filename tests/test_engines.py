@@ -293,10 +293,22 @@ class TestCompare:
             ("angle", lambda: PhotonInput(angle=30.0)),
             ("plane", lambda: ClassicalBeam(1.0, plane=30.0)),
             ("tolerance", lambda: compare(classical, quantum, "1e-9")),
+            ("input", lambda: MonteCarloConfig(10, 1, None, stack)),
+            ("stack", lambda: MonteCarloConfig(10, 1, PhotonInput.unpolarized(), [0.0, 1.0])),
         ]
         for field, build in cases:
             with pytest.raises(ValueError, match=f"^{field} "):
                 build()
+
+    @pytest.mark.parametrize("plane", [None, deg(10)])
+    def test_dark_classical_input_rejected(self, plane):
+        # a dark beam has no transmitted fraction; its trace once "failed"
+        # against the quantum one with max_diff 0.5
+        stack = stack_of(0, 45, 90)
+        classical = run_classical(ClassicalBeam(0.0, plane), stack)
+        quantum = run_quantum_exact(PhotonInput(plane), stack)
+        with pytest.raises(ComparisonDomainError, match="dark"):
+            compare(classical, quantum, 1e-9)
 
     def test_stage_differences_are_an_array(self):
         stack = stack_of(0, 45, 90)
