@@ -457,7 +457,7 @@ def _cascade_table(trace: CascadeTrace) -> _Table:
 
 def _mc_table(report: MonteCarloReport) -> _Table:
     n = report.photon_count
-    counts = np.array(report.per_stage_survivor_counts, dtype=np.int64)
+    counts = report.per_stage_survivor_counts
     before = np.append(n, counts)[:-1]
     missing = before == 0
     stage_prob = (np.divide(counts, before, out=np.zeros(len(counts)), where=~missing), missing)

@@ -64,6 +64,21 @@ def angle_from_degrees(degrees: float) -> Angle:
     return Angle(math.radians(degrees))
 
 
+def _canonical_angle(radians: float) -> Angle:
+    # an Angle of radians already in [0, pi), which Angle.__post_init__ would
+    # return unchanged; skipping it halves the cost of FilterStack.axes
+    angle = object.__new__(Angle)
+    object.__setattr__(angle, "radians", radians)
+    return angle
+
+
+def _reject_text(angles: object) -> None:
+    # numpy would read a string as one number and iteration would yield its
+    # characters (or a bytes object's codes), so text is never a list of angles
+    if isinstance(angles, (str, bytes, bytearray)):
+        raise ValueError(f"filter angles must be numbers, not {type(angles).__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class FilterStack:
     """Ordered polarizer axes; an empty stack transmits unchanged.
@@ -75,13 +90,14 @@ class FilterStack:
     radians: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.radians, dtype=np.float64).reshape(-1)
+        _reject_text(self.radians)
+        r = np.asarray(self.radians, dtype=np.float64).ravel()
         finite = np.isfinite(r)
-        if not finite.all():
+        if np.count_nonzero(finite) < len(r):
             raise ValueError(f"filter angle must be finite, got {r[~finite][0].item()!r}")
         r = np.mod(r, np.pi)  # a new array, never the caller's
         r[r >= np.pi] = 0.0  # same landing-on-the-divisor case as Angle
-        r.flags.writeable = False
+        r.setflags(write=False)
         object.__setattr__(self, "radians", r)
 
     @classmethod
@@ -89,17 +105,20 @@ class FilterStack:
         """Stack from axis angles in degrees; an array is converted whole,
         any other iterable is read element by element."""
         if not isinstance(degrees, np.ndarray):
+            _reject_text(degrees)
             degrees = np.fromiter(degrees, dtype=np.float64)
         return cls(np.radians(np.asarray(degrees, dtype=np.float64)))
 
     @property
     def axes(self) -> tuple[Angle, ...]:
-        return tuple(Angle(r) for r in self.radians.tolist())
+        return tuple(map(_canonical_angle, self.radians.tolist()))
 
     def __len__(self) -> int:
         return len(self.radians)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:  # the angles are finite, so a stack equals itself
+            return True
         if not isinstance(other, FilterStack):
             return NotImplemented
         return np.array_equal(self.radians, other.radians)

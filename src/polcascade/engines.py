@@ -30,6 +30,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +118,7 @@ class PhotonInput:
         return self.angle is None
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     """Per-filter result of an engine run (1-based stage index)."""
 
     stage_index: int
@@ -152,8 +152,8 @@ class CascadeTrace:
             self.stage_pass_probability,
             self.cumulative_probability,
         )
-        rows = zip(self.stack.axes, *([None] * n if c is None else c.tolist() for c in columns))
-        return tuple(StageRecord(i, *row) for i, row in enumerate(rows, start=1))
+        values = [[None] * n if c is None else c.tolist() for c in columns]
+        return tuple(map(StageRecord._make, zip(range(1, n + 1), self.stack.axes, *values)))
 
 
 @dataclass(frozen=True)
@@ -175,16 +175,34 @@ class MonteCarloConfig:
         object.__setattr__(self, "seed", _integer(self.seed, "seed", *_SEEDS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonteCarloReport:
-    """Counts and binomial statistics from a Monte Carlo run."""
+    """Counts and binomial statistics from a Monte Carlo run.
+
+    `per_stage_survivor_counts` is one read-only int64 array aligned with
+    the stack; reports compare and hash by value.
+    """
 
     config: MonteCarloConfig
-    per_stage_survivor_counts: tuple[int, ...]
+    per_stage_survivor_counts: np.ndarray
     transmitted_count: int
     estimate: float
     standard_error: float
     confidence_interval_95: tuple[float, float]
+
+    def _scalars(self) -> tuple:
+        return (self.config, self.transmitted_count, self.estimate, self.standard_error,
+                self.confidence_interval_95)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MonteCarloReport):
+            return NotImplemented
+        return self._scalars() == other._scalars() and np.array_equal(
+            self.per_stage_survivor_counts, other.per_stage_survivor_counts
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._scalars(), self.per_stage_survivor_counts.tobytes()))
 
     @property
     def seed(self) -> int:
@@ -219,10 +237,10 @@ def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
     """
     axes = stack.radians
     planes = axes if input.plane is None else np.concatenate(([input.plane.radians], axes))
-    c = np.cos(np.diff(planes))
+    c = np.cos(planes[1:] - planes[:-1])
     halved = [0.5] * len(axes[:1]) if input.plane is None else []
     # a sequential running product: the same roundings as the per-filter loop
-    intensities = np.cumprod(np.concatenate(([input.intensity], halved, c * c)))
+    intensities = np.multiply.accumulate(np.concatenate(([input.intensity], halved, c * c)))
     if input.intensity > 0.0:
         fraction = float(intensities[-1]) / input.intensity
     else:
@@ -245,7 +263,10 @@ def _born_probabilities(input: PhotonInput, axes: np.ndarray) -> np.ndarray:
     """
     planes = axes if input.is_unpolarized else np.concatenate(([input.angle.radians], axes))
     h, v = np.cos(planes), np.sin(planes)
-    dot = np.clip(h[1:] * h[:-1] + v[1:] * v[:-1], -1.0, 1.0)
+    dot = h[1:] * h[:-1] + v[1:] * v[:-1]
+    # clamped to [-1, 1] in place; np.clip costs more than both calls
+    np.maximum(dot, -1.0, out=dot)
+    np.minimum(dot, 1.0, out=dot)
     probs = dot * dot
     if input.is_unpolarized and len(axes):
         probs = np.concatenate(([0.5], probs))
@@ -267,7 +288,7 @@ def run_quantum_exact(input: PhotonInput, stack: FilterStack) -> CascadeTrace:
     """
     probs = _born_probabilities(input, stack.radians)
     probs[np.logical_or.accumulate(probs < ZERO_PROBABILITY_TOL)] = 0.0
-    cumulative = np.cumprod(probs)
+    cumulative = np.multiply.accumulate(probs)
     return CascadeTrace(
         input_description=input,
         stack=stack,
@@ -346,19 +367,26 @@ def _first_stage_survivors(
     second its plane angle as a fraction of pi when the input is
     unpolarized. A chunk that starts on an odd photon draws the pair of the
     photon before it too and drops it. `p_first` is the pass probability of
-    a linearly polarized input. The draw and scratch buffers are allocated
-    once and reused for every chunk.
+    a linearly polarized input. The bit generator, the draw and the scratch
+    buffers are made once and reused for every chunk.
     """
     n, size = config.photon_count, _CHUNK_SIZE
     rows = min(size, n)
     draws = np.empty((rows + 1, 2))
     d, near = np.empty(rows, np.float32), np.empty(rows, np.bool_)
     first_axis = config.stack.radians[0]
+    bits = np.random.Philox(key=config.seed)
+    generator = np.random.Generator(bits)
+    # a new stream's state, with an empty buffer (buffer_pos 4); setting it
+    # with counter [c, 0, 0, 0] gives the stream Philox(key, counter) starts
+    state = bits.state
+    state["buffer_pos"] = 4
     passed = 0
     for start in range(first_chunk * size, n, stride * size):
         count, odd = min(size, n - start), start % 2
-        bg = np.random.Philox(key=config.seed, counter=[start // 2, 0, 0, 0])
-        u = np.random.Generator(bg).random(out=draws[: count + odd])[odd:]
+        state["state"]["counter"][0] = start // 2
+        bits.state = state
+        u = generator.random(out=draws[: count + odd])[odd:]
         if config.input.is_unpolarized:
             passed += _screened_passes(u, first_axis, d[:count], near[:count])
         else:
@@ -390,9 +418,10 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
     requested = _integer(workers, "workers", 1)
     n = config.photon_count
     stack = config.stack
+    # the stages after the chain runs out of photons keep their zero
+    counts = np.zeros(len(stack), np.int64)
     if len(stack) == 0:
         # nothing to absorb a photon: every one is transmitted
-        counts: tuple[int, ...] = ()
         transmitted = n
     else:
         probs = _born_probabilities(config.input, stack.radians)
@@ -405,13 +434,14 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
         with ThreadPoolExecutor(max_workers=threads) as pool:
             survivors = sum(pool.map(share, range(threads)))
         chain = np.random.Generator(np.random.Philox(key=config.seed, counter=_CHAIN_COUNTER))
-        survivor_counts = [survivors]
-        for p in probs[1:]:
-            if survivors:
-                survivors = int(chain.binomial(survivors, p))
-            survivor_counts.append(survivors)
-        counts = tuple(survivor_counts)
+        counts[0] = survivors
+        for j in range(1, len(probs)):
+            if not survivors:
+                break
+            survivors = int(chain.binomial(survivors, probs[j]))
+            counts[j] = survivors
         transmitted = survivors
+    counts.flags.writeable = False
     estimate = transmitted / n
     stderr = math.sqrt(estimate * (1.0 - estimate) / n)
     return MonteCarloReport(
@@ -468,7 +498,7 @@ def compare(
     final_diff = abs(
         classical.final_transmitted_fraction - quantum.final_transmitted_fraction
     )
-    max_diff = float(np.max(diffs, initial=final_diff))
+    max_diff = float(np.maximum.reduce(diffs, initial=final_diff))
     return ComparisonReport(
         stage_differences=diffs,
         final_difference=final_diff,

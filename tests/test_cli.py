@@ -1,6 +1,7 @@
 """Tests for command-line parsing, rendering, and exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -57,6 +58,28 @@ class TestParseSpec:
         # a flag left out takes the spec's own default, which lives only there
         for mode in cli._MODES:
             assert parse_spec(["--mode", mode]) == ExperimentSpec(mode=mode)
+
+    def test_help_states_the_spec_defaults(self):
+        # each "(default X)" that -h prints, read with its flag's own converter,
+        # is the ExperimentSpec field default the flag falls back to
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            parse_spec(["-h"])
+        shown = " ".join(out.getvalue().split())
+        default = re.compile(r"\(default:? ([^)]*)\)")
+        stated = {}
+        for action in cli._build_parser()._actions:
+            found = default.search(action.help or "")
+            if found:
+                assert " ".join(action.help.split()) in shown
+                convert = action.type or str
+                stated[action.dest] = convert(found.group(1))
+        assert len(default.findall(shown)) == len(stated)
+        spec_defaults = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
+        assert set(stated) == {"input_angle_deg", "intensity", "photons", "seed", "tolerance",
+                               "output_format", "workers"}
+        assert stated == {name: spec_defaults[name] for name in stated}
+        assert stated["input_angle_deg"] is None  # "unpolarized"
 
     def test_zero_photons_rejected(self):
         for photons in ("0", str(2**63)):

@@ -90,6 +90,28 @@ class TestFilterStack:
         with pytest.raises(ValueError, match="finite, got -inf$"):
             FilterStack([0.0, -math.inf, math.nan])
 
+    @pytest.mark.parametrize(
+        "text",
+        ["45", b"45", bytearray(b"45"), "", b""],
+        ids=["str", "bytes", "bytearray", "empty-str", "empty-bytes"],
+    )
+    def test_text_is_not_a_list_of_angles(self, text):
+        # iterating "45" would give the stack 4 and 5 degrees, and b"45" 52
+        # and 53; numpy would read "12" as 12 rad
+        name = type(text).__name__
+        with pytest.raises(ValueError, match=f"not {name}$"):
+            FilterStack.from_degrees(text)
+        with pytest.raises(ValueError, match=f"not {name}$"):
+            FilterStack(text)
+
+    @given(radians=st.lists(finite_angles | st.floats(-1e-300, 0.0), max_size=20))
+    def test_axes_are_the_angles_of_each_value(self, radians):
+        # axes skip the reduction Angle would make again; it changes nothing
+        axes = FilterStack(radians).axes
+        assert all(type(a) is Angle for a in axes)
+        assert [a.radians for a in axes] == [Angle(r).radians for r in radians]
+        assert all(math.copysign(1.0, a.radians) == 1.0 for a in axes)
+
 
 class TestMalusFactor:
     def test_perpendicular_blocks(self):

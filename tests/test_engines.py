@@ -23,6 +23,7 @@ from polcascade.engines import (
     ComparisonDomainError,
     MonteCarloConfig,
     PhotonInput,
+    StageRecord,
     compare,
     run_classical,
     run_monte_carlo,
@@ -75,6 +76,24 @@ class TestRunClassical:
             trace = run_classical(ClassicalBeam.unpolarized(1.0), stack)
             intensities = [1.0] + [s.classical_intensity_after for s in trace.stages]
             assert all(b <= a for a, b in zip(intensities, intensities[1:]))
+
+
+class TestStageRows:
+    def test_rows_are_the_columns_as_named_tuples(self):
+        stack = stack_of(0, 45, 90)
+        trace = run_quantum_exact(PhotonInput.unpolarized(), stack)
+        columns = (trace.stage_pass_probability.tolist(), trace.cumulative_probability.tolist())
+        assert trace.stages == tuple(
+            (i, axis, None, p, c) for i, axis, p, c in zip((1, 2, 3), stack.axes, *columns)
+        )
+        first = trace.stages[0]
+        assert first == StageRecord(1, deg(0), stage_pass_probability=0.5, cumulative_probability=0.5)
+        assert first.axis == deg(0) and first.classical_intensity_after is None
+        assert repr(first) == (
+            "StageRecord(stage_index=1, axis=Angle(radians=0.0), classical_intensity_after=None, "
+            "stage_pass_probability=0.5, cumulative_probability=0.5)"
+        )
+        assert StageRecord(2, deg(30)) == (2, deg(30), None, None, None)
 
 
 class TestRunQuantumExact:
@@ -386,7 +405,7 @@ class TestMonteCarlo:
             photon_count=1000, seed=5, input=PhotonInput.unpolarized(), stack=FilterStack()
         )
         report = run_monte_carlo(config)
-        assert report.per_stage_survivor_counts == ()
+        assert report.per_stage_survivor_counts.tolist() == []
         assert report.transmitted_count == 1000
         assert report.estimate == 1.0
 
@@ -400,6 +419,30 @@ class TestMonteCarlo:
         a = run_monte_carlo(config)
         b = run_monte_carlo(config)
         assert a == b
+
+    def test_survivor_counts_are_a_read_only_int64_array(self):
+        config = MonteCarloConfig(
+            photon_count=1000, seed=9, input=PhotonInput.pure_ket(deg(0)), stack=stack_of(30, 120, 0)
+        )
+        report = run_monte_carlo(config)
+        counts = report.per_stage_survivor_counts
+        assert counts.dtype == np.int64 and counts.shape == (3,)
+        assert not counts.flags.writeable
+        # crossed at stage 2: the chain stops and the later stages stay 0
+        assert counts[0] > 0 and counts[1:].tolist() == [0, 0]
+        assert report.transmitted_count == 0
+        empty = run_monte_carlo(MonteCarloConfig(5, 9, PhotonInput.unpolarized(), FilterStack()))
+        assert empty.per_stage_survivor_counts.dtype == np.int64
+        assert not empty.per_stage_survivor_counts.flags.writeable
+
+    def test_reports_compare_and_hash_by_value(self):
+        config = MonteCarloConfig(
+            photon_count=5000, seed=4, input=PhotonInput.unpolarized(), stack=stack_of(0, 45, 90)
+        )
+        report, twin = run_monte_carlo(config), run_monte_carlo(config, workers=2)
+        assert report is not twin and report == twin and hash(report) == hash(twin)
+        other = run_monte_carlo(MonteCarloConfig(5000, 5, config.input, config.stack))
+        assert other != report
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_worker_count_does_not_change_results(self, workers):
@@ -518,7 +561,7 @@ class TestMonteCarlo:
                 stack=stack,
             )
             r = run_monte_carlo(config)
-            counts = (config.photon_count,) + r.per_stage_survivor_counts
+            counts = (config.photon_count, *r.per_stage_survivor_counts.tolist())
             assert all(b <= a for a, b in zip(counts, counts[1:]))
             assert r.transmitted_count == counts[-1]
             assert r.estimate == r.transmitted_count / config.photon_count
@@ -643,7 +686,8 @@ class TestGoldenCounts:
         config = golden_config(plane, first, seed, photons)
         for workers in (1, 2):
             report = run_monte_carlo(config, workers=workers)
-            assert report.per_stage_survivor_counts == MC_GOLDEN[plane, first][seed, photons]
+            counts = report.per_stage_survivor_counts.tolist()
+            assert tuple(counts) == MC_GOLDEN[plane, first][seed, photons]
 
     @pytest.mark.parametrize("plane,first", list(MC_GOLDEN))
     def test_counts_are_pinned_with_odd_chunk_starts(self, monkeypatch, plane, first):
@@ -652,7 +696,8 @@ class TestGoldenCounts:
         config = golden_config(plane, first, 2**64 - 1, 65_537)
         for workers in (1, 2):
             report = run_monte_carlo(config, workers=workers)
-            assert report.per_stage_survivor_counts == MC_GOLDEN[plane, first][2**64 - 1, 65_537]
+            counts = report.per_stage_survivor_counts.tolist()
+            assert tuple(counts) == MC_GOLDEN[plane, first][2**64 - 1, 65_537]
 
 
 def screen_cos2(v, axis):
