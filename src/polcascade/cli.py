@@ -13,12 +13,11 @@ writer makes the output one block of 4096 rows at a time, each block one
 byte string: a numpy formatter gives every cell exactly the bytes of
 Python's 12-significant-digit `format(x, ".12g")`, and only the cells it
 cannot prove exact (near a rounding tie, nan, inf, subnormal or extreme)
-go through `format` itself. Given a text stream, the renderers and
-:func:`run_experiment` write each block to it as it is made, and
+go through `format` itself. The renderers and :func:`run_experiment`
+write each block to the text stream they are given as it is made, and
 :func:`main` passes stdout, so a run holds one block of output, never all
-of it; without a stream they join the same blocks into one string. The
-stack travels as float64 arrays, from :func:`parse_stack_text` through
-:class:`ExperimentSpec` to the engines.
+of it. The stack travels as float64 arrays, from :func:`parse_stack_text`
+through :class:`ExperimentSpec` to the engines.
 """
 
 from __future__ import annotations
@@ -28,14 +27,15 @@ import math
 import numbers
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import TextIO
 
 import numpy as np
 
 from ._cells import float_cells, int_cells, num as _num
-from .core import Angle, ClassicalBeam, FilterStack, angle_from_degrees
+from .core import Angle, ClassicalBeam, FilterStack, _angle_array, angle_from_degrees
 from .engines import (
     CascadeTrace,
     ComparisonReport,
@@ -92,8 +92,9 @@ def _real(value: object) -> float | None:
 class ExperimentSpec:
     """Validated description of one experiment run.
 
-    `filters_deg` takes any sequence of numbers and holds it as a read-only
-    float64 array; specs compare and hash by value.
+    `filters_deg` takes any sequence of numbers, by the library's rule for
+    angles, and holds it as a read-only float64 array; specs compare and
+    hash by value.
     """
 
     mode: str
@@ -128,7 +129,7 @@ class ExperimentSpec:
             raise UsageError(f"--intensity must be a finite real > 0, got {self.intensity!r}")
         object.__setattr__(self, "intensity", intensity)
         try:
-            filters = np.array(self.filters_deg, dtype=np.float64).reshape(-1)
+            filters = _angle_array(self.filters_deg).copy()
         except (TypeError, ValueError):
             raise UsageError(f"--filters: not angles in degrees: {self.filters_deg!r}") from None
         filters.flags.writeable = False
@@ -258,32 +259,30 @@ def _pieces(text: str) -> Iterator[str]:
         start = end
 
 
-def _code_lines(text: str, comments: bool) -> list[str]:
-    # the lines of `text`, each cut at its first `#` if the text has any
-    lines = text.splitlines()
-    return [line.split("#", 1)[0] for line in lines] if comments else lines
+def _uncommented_lines(piece: str) -> list[str]:
+    return [line.split("#", 1)[0] for line in piece.splitlines()]
 
 
-def _angles(text: str, comments: bool) -> np.ndarray:
-    # float() strips the same whitespace as str.strip()
-    return np.array(list(map(float, filter(str.strip, _code_lines(text, comments)))))
+def _code_lines(text: str) -> Iterator[str]:
+    # the lines of `text`, split one piece at a time; if the text has a `#`,
+    # each line is cut at its first one
+    split = _uncommented_lines if "#" in text else str.splitlines
+    return chain.from_iterable(map(split, _pieces(text)))
 
 
 def parse_stack_text(text: str, source: str = "stack file") -> np.ndarray:
     """Parse stack-file text, one angle in degrees per line, to a float64 array.
 
     `#` begins a comment and blank lines are ignored. Each angle is read
-    with `float()`. A long text is split into lines one piece at a time,
-    so only one piece's line strings are alive at once.
+    with `float()`. The text is split into lines one piece at a time, so
+    only one piece's line strings are alive at once.
     """
-    comments = "#" in text
     try:
-        if len(text) <= _PARSE_CHARS:
-            return _angles(text, comments)
-        return np.concatenate([_angles(piece, comments) for piece in _pieces(text)])
+        # float() strips the same whitespace as str.strip()
+        return np.fromiter(map(float, filter(str.strip, _code_lines(text))), np.float64)
     except ValueError:
         # scan again only to name the first bad line
-        for lineno, line in enumerate(map(str.strip, _code_lines(text, comments)), start=1):
+        for lineno, line in enumerate(map(str.strip, _code_lines(text)), start=1):
             try:
                 if line:
                     float(line)
@@ -294,18 +293,14 @@ def parse_stack_text(text: str, source: str = "stack file") -> np.ndarray:
         raise
 
 
-def parse_spec(argv: list[str], stack_file_text: str | None = None) -> ExperimentSpec:
+def parse_spec(argv: list[str]) -> ExperimentSpec:
     """Parse command-line tokens into a validated :class:`ExperimentSpec`.
 
-    `stack_file_text` substitutes for reading --stack-file from disk (the
-    flag's path is then only a label). Explicit --filters angles override
-    stack-file contents.
+    Explicit --filters angles override the --stack-file contents.
     """
     args = vars(_build_parser().parse_args(argv))
     stack_file = args.pop("stack_file", None)
-    if "filters_deg" not in args and stack_file_text is not None:
-        args["filters_deg"] = parse_stack_text(stack_file_text)
-    elif "filters_deg" not in args and stack_file is not None:
+    if "filters_deg" not in args and stack_file is not None:
         try:
             with open(stack_file, encoding="utf-8") as fh:
                 text = fh.read()
@@ -416,28 +411,16 @@ def _write(table: _Table, output_format: str) -> Iterator[str]:
         yield line + "\n"
 
 
-def _emit(blocks: Iterable[str], out: TextIO | None) -> str | None:
-    # the one way output leaves a renderer: written to `out` block by block
-    # as it is made, or, without a stream, joined into one string
-    if out is None:
-        return "".join(blocks)
-    for block in blocks:
-        out.write(block)
-    return None
-
-
 def render_trace(
-    result: CascadeTrace | MonteCarloReport, output_format: str = "tsv", out: TextIO | None = None
-) -> str | None:
-    """Render one engine result deterministically.
+    result: CascadeTrace | MonteCarloReport, output_format: str, out: TextIO
+) -> None:
+    """Render one engine result to `out`, block by block as it is made.
 
     TSV rows carry the per-stage numbers with `-` for cells the engine does
     not produce; Monte Carlo rows show the empirical per-stage fractions.
-    With `out`, the output is written to it block by block and None is
-    returned; without it, the output is returned as one string.
     """
     table = _mc_table(result) if isinstance(result, MonteCarloReport) else _cascade_table(result)
-    return _emit(_write(table, output_format), out)
+    out.writelines(_write(table, output_format))
 
 
 def _cascade_table(trace: CascadeTrace) -> _Table:
@@ -480,12 +463,12 @@ def render_comparison(
     classical: CascadeTrace,
     quantum: CascadeTrace,
     report: ComparisonReport,
-    output_format: str = "tsv",
-    out: TextIO | None = None,
-) -> str | None:
+    output_format: str,
+    out: TextIO,
+) -> None:
     """Render a classical and a quantum trace side by side with the verdict.
 
-    `out` works as in :func:`render_trace`.
+    The output goes to `out` as in :func:`render_trace`.
     """
     verdict = "pass" if report.passed else "fail"
     intensity, cumulative = classical.classical_intensity_after, quantum.cumulative_probability
@@ -503,7 +486,7 @@ def render_comparison(
         summary=f"classical fraction {final} vs quantum probability {quantum_final}: "
         f"{verdict} (max diff {max_diff}, tolerance {tolerance})",
     )
-    return _emit(_write(table, output_format), out)
+    out.writelines(_write(table, output_format))
 
 
 def _describe_input(desc: ClassicalBeam | PhotonInput) -> str:
@@ -526,32 +509,31 @@ def exit_policy(result) -> int:
     return 0
 
 
-def run_experiment(spec: ExperimentSpec, out: TextIO | None = None) -> tuple[str | None, object]:
-    """Execute the requested mode; returns (rendered output, result object).
-
-    With `out`, the output is written to it block by block as it is made
-    and the first item is None.
-    """
+def run_experiment(
+    spec: ExperimentSpec, out: TextIO
+) -> CascadeTrace | MonteCarloReport | ComparisonReport:
+    """Execute the requested mode, rendering its report to `out`; returns the result."""
     stack, angle = spec.stack, spec.input_angle
+    if spec.mode == "compare":
+        classical = run_classical(ClassicalBeam(spec.intensity, angle), stack)
+        quantum = run_quantum_exact(PhotonInput(angle), stack)
+        report = compare(classical, quantum, spec.tolerance)
+        render_comparison(classical, quantum, report, spec.output_format, out)
+        return report
     if spec.mode == "classical":
-        trace = run_classical(ClassicalBeam(spec.intensity, angle), stack)
-        return render_trace(trace, spec.output_format, out), trace
-    if spec.mode == "quantum":
-        trace = run_quantum_exact(PhotonInput(angle), stack)
-        return render_trace(trace, spec.output_format, out), trace
-    if spec.mode == "mc":
+        result = run_classical(ClassicalBeam(spec.intensity, angle), stack)
+    elif spec.mode == "quantum":
+        result = run_quantum_exact(PhotonInput(angle), stack)
+    else:
         config = MonteCarloConfig(
             photon_count=spec.photons,
             seed=spec.seed,
             input=PhotonInput(angle),
             stack=stack,
         )
-        report = run_monte_carlo(config, workers=spec.workers)
-        return render_trace(report, spec.output_format, out), report
-    classical = run_classical(ClassicalBeam(spec.intensity, angle), stack)
-    quantum = run_quantum_exact(PhotonInput(angle), stack)
-    report = compare(classical, quantum, spec.tolerance)
-    return render_comparison(classical, quantum, report, spec.output_format, out), report
+        result = run_monte_carlo(config, workers=spec.workers)
+    render_trace(result, spec.output_format, out)
+    return result
 
 
 def _discard_unwritable(out: TextIO) -> None:
@@ -582,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     out = sys.stdout
     try:
-        _, result = run_experiment(parse_spec(argv), out)
+        result = run_experiment(parse_spec(argv), out)
         out.flush()
     except UsageError as exc:
         print(f"polcascade: error: {exc}", file=sys.stderr)

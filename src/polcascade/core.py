@@ -12,7 +12,7 @@ function, so they are safe to share between concurrent workers.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,11 +72,22 @@ def _canonical_angle(radians: float) -> Angle:
     return angle
 
 
-def _reject_text(angles: object) -> None:
-    # numpy would read a string as one number and iteration would yield its
-    # characters (or a bytes object's codes), so text is never a list of angles
-    if isinstance(angles, (str, bytes, bytearray)):
-        raise ValueError(f"filter angles must be numbers, not {type(angles).__name__}")
+# array kinds numpy makes of text ("45", b"45") and bools, which are not angles
+_NOT_ANGLES = {"U": "str", "S": "bytes", "b": "bool"}
+
+
+def _angle_array(values: object) -> np.ndarray:
+    # the one rule for a list of angles: numbers only, as a 1-D float64 array;
+    # text and bools are rejected, whole or as elements, and so is a bytearray,
+    # which numpy would read as its byte codes; an iterator is read once
+    if not isinstance(values, np.ndarray):
+        if isinstance(values, bytearray):
+            raise ValueError("filter angles must be numbers, not bytearray")
+        values = np.asarray(list(values) if isinstance(values, Iterator) else values)
+    kind = _NOT_ANGLES.get(values.dtype.kind)
+    if kind:
+        raise ValueError(f"filter angles must be numbers, not {kind}")
+    return values.astype(np.float64, copy=False).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +101,7 @@ class FilterStack:
     radians: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self) -> None:
-        _reject_text(self.radians)
-        r = np.asarray(self.radians, dtype=np.float64).ravel()
+        r = _angle_array(self.radians)
         finite = np.isfinite(r)
         if np.count_nonzero(finite) < len(r):
             raise ValueError(f"filter angle must be finite, got {r[~finite][0].item()!r}")
@@ -102,12 +112,8 @@ class FilterStack:
 
     @classmethod
     def from_degrees(cls, degrees: Iterable[float]) -> FilterStack:
-        """Stack from axis angles in degrees; an array is converted whole,
-        any other iterable is read element by element."""
-        if not isinstance(degrees, np.ndarray):
-            _reject_text(degrees)
-            degrees = np.fromiter(degrees, dtype=np.float64)
-        return cls(np.radians(np.asarray(degrees, dtype=np.float64)))
+        """Stack from axis angles in degrees, read by the same rule as radians."""
+        return cls(np.radians(_angle_array(degrees)))
 
     @property
     def axes(self) -> tuple[Angle, ...]:

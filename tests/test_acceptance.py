@@ -5,6 +5,7 @@ print. Runtime limits are measured around the parse-and-run call, not
 interpreter startup.
 """
 
+import io
 import math
 import time
 
@@ -30,9 +31,10 @@ def check(num, description, ok):
 
 
 def timed_run(argv):
+    out = io.StringIO()
     t0 = time.perf_counter()
-    output, result = run_experiment(parse_spec(argv))
-    return output, result, time.perf_counter() - t0
+    result = run_experiment(parse_spec(argv), out)
+    return out.getvalue(), result, time.perf_counter() - t0
 
 
 def test_criterion_1_perpendicular_pair():
@@ -140,9 +142,11 @@ def test_criterion_6_worker_count_determinism():
         input=PhotonInput.unpolarized(),
         stack=FilterStack.from_degrees([0, 45, 90]),
     )
-    tsv_one = render_trace(run_monte_carlo(config, workers=1), "tsv")
-    tsv_six = render_trace(run_monte_carlo(config, workers=6), "tsv")
-    check(6, "mc TSV output is byte-identical across worker counts", tsv_one == tsv_six)
+    tsv_one, tsv_six = io.StringIO(), io.StringIO()
+    render_trace(run_monte_carlo(config, workers=1), "tsv", tsv_one)
+    render_trace(run_monte_carlo(config, workers=6), "tsv", tsv_six)
+    check(6, "mc TSV output is byte-identical across worker counts",
+          tsv_one.getvalue() == tsv_six.getvalue())
 
 
 def test_criterion_7_staircase_generalization():

@@ -135,15 +135,10 @@ class TestStackFile:
         with pytest.raises(UsageError, match="line 3"):
             parse_stack_text("0\n45\noops\n")
 
-    def test_injected_text_is_used(self):
-        spec = parse_spec(["--mode", "classical"], stack_file_text="0\n45\n90\n")
-        assert tuple(spec.filters_deg.tolist()) == (0.0, 45.0, 90.0)
-
-    def test_flags_override_file(self):
-        spec = parse_spec(
-            ["--filters", "10,20", "--mode", "classical"],
-            stack_file_text="0\n45\n90\n",
-        )
+    def test_flags_override_file(self, tmp_path):
+        path = tmp_path / "stack.txt"
+        path.write_text("0\n45\n90\n")
+        spec = parse_spec(["--filters", "10,20", "--stack-file", str(path), "--mode", "classical"])
         assert tuple(spec.filters_deg.tolist()) == (10.0, 20.0)
 
     def test_read_from_disk(self, tmp_path):
@@ -219,10 +214,44 @@ class TestStackFile:
             mp.setattr(cli, "_PARSE_CHARS", chars)
             assert outcome(lambda t: parse_stack_text(t).tolist()) == expected
 
+    @pytest.mark.parametrize("extra", [0, 1], ids=["piece-size", "piece-size-plus-one"])
+    @pytest.mark.parametrize("line", ["{}.25", "{}.5  # c"], ids=["plain", "comments"])
+    def test_text_at_the_piece_size(self, extra, line):
+        # texts of _PARSE_CHARS characters and one more, cut mid-line
+        n = cli._PARSE_CHARS + extra
+        text = "\n".join(map(line.format, range(n // 5)))[:n]
+        assert len(text) == n
+        angles = parse_stack_text(text).tolist()
+        assert tuple(angles) == _parse_line_by_line(text)
+        assert len(angles) > 5_000
+
+    def test_bad_line_in_a_later_piece_is_located(self):
+        lines = [f"{i * 0.25}" for i in range(30_000)]
+        lines[25_000] = "  9x  # typo"
+        text = "\n".join(lines) + "\n"
+        assert text.index("9x") > 2 * cli._PARSE_CHARS
+        with pytest.raises(UsageError) as info:
+            parse_stack_text(text, source="walk.txt")
+        assert str(info.value) == "walk.txt line 25001: not an angle in degrees: '9x'"
+
     def test_unreadable_file_named(self, tmp_path):
         missing = tmp_path / "nope.txt"
         with pytest.raises(UsageError, match="nope.txt"):
             parse_spec(["--stack-file", str(missing), "--mode", "classical"])
+
+
+def _rendered(render, *args):
+    # what a renderer writes, read back from a StringIO
+    out = io.StringIO()
+    render(*args, out)
+    return out.getvalue()
+
+
+def _run(argv):
+    # run_experiment's output, read back from a StringIO, and its result
+    out = io.StringIO()
+    result = run_experiment(parse_spec(argv), out)
+    return out.getvalue(), result
 
 
 def _parse_line_by_line(text):
@@ -275,7 +304,7 @@ class TestRenderTrace:
         trace = run_classical(
             ClassicalBeam.unpolarized(1.0), FilterStack.from_degrees([0, 45, 90])
         )
-        lines = render_trace(trace, "tsv").splitlines()
+        lines = _rendered(render_trace, trace, "tsv").splitlines()
         assert lines[0] == "stage\taxis_deg\tclassical_intensity\tstage_prob\tcumulative_prob"
         assert lines[1] == "1\t0\t0.5\t-\t-"
         assert lines[2] == "2\t45\t0.25\t-\t-"
@@ -287,14 +316,14 @@ class TestRenderTrace:
             PhotonInput.pure_ket(angle_from_degrees(0)),
             FilterStack.from_degrees([45, 90]),
         )
-        lines = render_trace(trace, "tsv").splitlines()
+        lines = _rendered(render_trace, trace, "tsv").splitlines()
         assert lines[1] == "1\t45\t-\t0.5\t0.5"
         assert lines[2] == "2\t90\t-\t0.5\t0.25"
         assert lines[3] == "# final_fraction=0.25"
 
     def test_empty_stack_header_only(self):
         trace = run_classical(ClassicalBeam.unpolarized(1.0), FilterStack())
-        lines = render_trace(trace, "tsv").splitlines()
+        lines = _rendered(render_trace, trace, "tsv").splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("stage\t")
         assert lines[1] == "# final_fraction=1"
@@ -306,20 +335,20 @@ class TestRenderTrace:
             input=PhotonInput.unpolarized(),
             stack=FilterStack.from_degrees([0, 45, 90]),
         )
-        out = render_trace(run_monte_carlo(config), "tsv")
+        out = _rendered(render_trace, run_monte_carlo(config), "tsv")
         summary = out.splitlines()[-1]
         assert summary.startswith("# estimate=")
         assert "stderr=" in summary and "ci95=" in summary and "seed=9" in summary
 
     def test_text_format_mentions_fraction(self):
         trace = run_classical(ClassicalBeam.unpolarized(1.0), FilterStack.from_degrees([0]))
-        out = render_trace(trace, "text")
+        out = _rendered(render_trace, trace, "text")
         assert "transmitted fraction: 0.5" in out
 
     def test_identical_specs_render_identically(self):
         argv = ["--filters", "0,45,90", "--mode", "mc", "--photons", "20000"]
-        out1, _ = run_experiment(parse_spec(argv))
-        out2, _ = run_experiment(parse_spec(argv))
+        out1, _ = _run(argv)
+        out2, _ = _run(argv)
         assert out1 == out2
 
 
@@ -461,7 +490,7 @@ class TestComparisonRendering:
         classical = run_classical(ClassicalBeam.unpolarized(1.0), stack)
         quantum = run_quantum_exact(PhotonInput.unpolarized(), stack)
         report = compare(classical, quantum, 1e-9)
-        lines = render_comparison(classical, quantum, report, "tsv").splitlines()
+        lines = _rendered(render_comparison, classical, quantum, report, "tsv").splitlines()
         assert lines[1] == "1\t0\t0.5\t0.5\t0.5"
         assert lines[2] == "2\t45\t0.25\t0.5\t0.25"
         assert lines[3] == "3\t90\t0.125\t0.5\t0.125"
@@ -578,8 +607,8 @@ class TestGoldenOutput:
             return format(x, ".12g")
 
         base = ["--filters", filters, "--mode", "mc", "--input", input_kind, "--photons", "1000"]
-        tsv, report = run_experiment(parse_spec(base + ["--format", "tsv"]))
-        text, _ = run_experiment(parse_spec(base + ["--format", "text"]))
+        tsv, report = _run(base + ["--format", "tsv"])
+        text, _ = _run(base + ["--format", "text"])
         n = report.photon_count
         axes = filters.split(",")
         counts = report.per_stage_survivor_counts
@@ -614,9 +643,9 @@ class TestRenderFormat:
         quantum = run_quantum_exact(PhotonInput.unpolarized(), stack)
         report = compare(classical, quantum, 1e-9)
         with pytest.raises(ValueError, match="json"):
-            render_trace(classical, "json")
+            _rendered(render_trace, classical, "json")
         with pytest.raises(ValueError, match="json"):
-            render_comparison(classical, quantum, report, "json")
+            _rendered(render_comparison, classical, quantum, report, "json")
 
 
 class TestInputValidation:
@@ -676,6 +705,13 @@ class TestInputValidation:
             ("--input", {"input_angle_deg": "30"}),
             ("--filters", {"filters_deg": ("0", "x")}),
             ("--filters", {"filters_deg": [object()]}),
+            # text and bools were once read as angles: "45" as one filter at
+            # 45 deg, bytearray(b"7") as 55 deg (the code of "7"), True as 1
+            ("--filters", {"filters_deg": "45"}),
+            ("--filters", {"filters_deg": bytearray(b"7")}),
+            ("--filters", {"filters_deg": ["45", "90"]}),
+            ("--filters", {"filters_deg": [True, False]}),
+            ("--filters", {"filters_deg": (a for a in ["45"])}),
         ]
         for flag, kwargs in cases:
             with pytest.raises(UsageError, match=f"^{flag}"):
@@ -724,16 +760,14 @@ class TestBenchmarkHooks:
         def recorder(name):
             def record(*args):
                 calls.append(name)
-                return name
 
             return record
 
         monkeypatch.setattr(cli, "render_trace", recorder("render_trace"))
         monkeypatch.setattr(cli, "render_comparison", recorder("render_comparison"))
         argv = ["--filters", "0,45,90", "--mode", mode, "--photons", "100"]
-        output, _ = run_experiment(parse_spec(argv))
+        run_experiment(parse_spec(argv), io.StringIO())
         assert calls == [expected]
-        assert output == expected
 
 
 def _num(x):
@@ -827,35 +861,35 @@ class TestBlockBoundaries:
         est, err = _num(mc.estimate), _num(mc.standard_error)
         lo, hi = (_num(x) for x in mc.confidence_interval_95)
         cases = [
-            (render_trace(classical, "tsv"), [TSV_HEADER.rstrip("\n"),
+            (_rendered(render_trace, classical, "tsv"), [TSV_HEADER.rstrip("\n"),
              *tsv(intensity, dash, dash), f"# final_fraction={final}"]),
-            (render_trace(quantum, "tsv"), [TSV_HEADER.rstrip("\n"),
+            (_rendered(render_trace, quantum, "tsv"), [TSV_HEADER.rstrip("\n"),
              *tsv(dash, stage_prob, cumulative), f"# final_fraction={quantum_final}"]),
-            (render_comparison(classical, quantum, report, "tsv"), [TSV_HEADER.rstrip("\n"),
+            (_rendered(render_comparison, classical, quantum, report, "tsv"), [TSV_HEADER.rstrip("\n"),
              *tsv(intensity, stage_prob, cumulative), f"# final_fraction={final}",
              f"# compare=pass max_diff={max_diff} tolerance=1e-09"]),
-            (render_trace(mc, "tsv"), [TSV_HEADER.rstrip("\n"),
+            (_rendered(render_trace, mc, "tsv"), [TSV_HEADER.rstrip("\n"),
              *tsv(dash, mc_stage, mc_cumulative), f"# final_fraction={est}",
              f"# estimate={est} stderr={err} ci95={lo},{hi} seed=7"]),
-            (render_trace(classical, "text"), ["input: linear at 33.3 deg, intensity 1",
+            (_rendered(render_trace, classical, "text"), ["input: linear at 33.3 deg, intensity 1",
              *text([f"intensity {c}" for c in intensity]),
              f"transmitted fraction: {final}"]),
-            (render_trace(quantum, "text"), ["input: photons polarized at 33.3 deg",
+            (_rendered(render_trace, quantum, "text"), ["input: photons polarized at 33.3 deg",
              *text([f"pass prob {c}" for c in stage_prob], [f"cumulative {c}" for c in cumulative]),
              f"transmitted fraction: {quantum_final}"]),
-            (render_comparison(classical, quantum, report, "text"),
+            (_rendered(render_comparison, classical, quantum, report, "text"),
              ["input: linear at 33.3 deg, intensity 1",
               *text([f"intensity {c}" for c in intensity],
                     [f"cumulative prob {c}" for c in cumulative]),
               f"classical fraction {final} vs quantum probability {quantum_final}: "
               f"pass (max diff {max_diff}, tolerance 1e-09)"]),
-            (render_trace(mc, "text"), ["input: photons polarized at 33.3 deg, 1000 photons, seed 7",
+            (_rendered(render_trace, mc, "text"), ["input: photons polarized at 33.3 deg, 1000 photons, seed 7",
              *text([f"{c} of {p} photons passed" for c, p in zip(counts, before)]),
              f"transmitted fraction: {est} (stderr {err}, 95% CI [{lo}, {hi}])"]),
         ]
         for out, expected in cases:
             assert out == "\n".join(expected) + "\n"
-        # the same bytes streamed by main and joined by run_experiment
+        # the same bytes written to stdout by main and to a StringIO by run_experiment
         modes = [(m, f) for f in ("tsv", "text") for m in ("classical", "quantum", "compare", "mc")]
         filters = "--filters=" + ",".join(map(repr, degrees.tolist()))
         for (mode, fmt), (out, _) in zip(modes, cases):
@@ -863,7 +897,7 @@ class TestBlockBoundaries:
                     "--photons", "1000", "--seed", "7"]
             assert main(argv) == 0
             assert capsys.readouterr().out == out
-            assert run_experiment(parse_spec(argv))[0] == out
+            assert _run(argv)[0] == out
 
     @given(
         x=_ANY_FLOAT,
@@ -881,21 +915,37 @@ class TestBlockBoundaries:
         assert [bytes(c).replace(b"\0", b"").decode() for c in cells] == list(map(str, values))
 
 
+class _CountingSink(io.TextIOBase):
+    # a text stream that keeps only the number of characters and lines written
+    chars = lines = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        self.lines += text.count("\n")
+        return len(text)
+
+
 class TestRenderMemory:
     @pytest.mark.parametrize("fmt", ["tsv", "text"])
-    def test_peak_is_bounded_by_the_output(self, fmt):
-        stack = _random_walk(100_000)
+    def test_peak_is_one_column_and_one_block(self, fmt):
+        n = 100_000
+        stack = _random_walk(n)
         classical = run_classical(ClassicalBeam.unpolarized(1.0), stack)
         quantum = run_quantum_exact(PhotonInput.unpolarized(), stack)
         report = compare(classical, quantum, 1e-9)
+        sink = _CountingSink()
         tracemalloc.start()
         try:
-            out = render_comparison(classical, quantum, report, fmt)
+            render_comparison(classical, quantum, report, fmt, sink)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.count("\n") == 100_000 + (3 if fmt == "tsv" else 2)
-        assert peak < 4 * len(out)
+        assert sink.lines == n + (3 if fmt == "tsv" else 2)
+        assert sink.chars > 40 * n
+        # the output (~70-100 bytes a row) is never held whole: the peak is
+        # the one column the writer adds, the axes in degrees at 8 bytes a
+        # filter, and the cells and row bytes of one block
+        assert peak < 8 * n + 1000 * BLOCK, peak
 
     def test_whole_run_peak_is_bounded_by_the_stack(self, tmp_path):
         # main streams its output, so the peak scales with the stack (8

@@ -91,18 +91,38 @@ class TestFilterStack:
             FilterStack([0.0, -math.inf, math.nan])
 
     @pytest.mark.parametrize(
-        "text",
-        ["45", b"45", bytearray(b"45"), "", b""],
-        ids=["str", "bytes", "bytearray", "empty-str", "empty-bytes"],
+        "text,name",
+        [
+            ("45", "str"),
+            (b"45", "bytes"),
+            (bytearray(b"45"), "bytearray"),
+            ("", "str"),
+            (b"", "bytes"),
+            (["45"], "str"),  # FilterStack read it as 45 rad, 58.3 deg
+            (["45", "90"], "str"),
+            (np.array(["1", "2"]), "str"),  # from_degrees read it as 1 and 2 deg
+            ([b"45"], "bytes"),
+            ([True, False], "bool"),
+            (np.array([True]), "bool"),
+        ],
+        ids=["str", "bytes", "bytearray", "empty-str", "empty-bytes", "str-list", "str-pair",
+             "str-array", "bytes-list", "bool-list", "bool-array"],
     )
-    def test_text_is_not_a_list_of_angles(self, text):
+    def test_text_is_not_a_list_of_angles(self, text, name):
         # iterating "45" would give the stack 4 and 5 degrees, and b"45" 52
-        # and 53; numpy would read "12" as 12 rad
-        name = type(text).__name__
+        # and 53; numpy would read "12" as 12 rad and True as 1
         with pytest.raises(ValueError, match=f"not {name}$"):
             FilterStack.from_degrees(text)
         with pytest.raises(ValueError, match=f"not {name}$"):
             FilterStack(text)
+
+    def test_numbers_in_any_form_are_angles(self):
+        expected = np.radians([0.0, 45.0, 90.0])
+        for degrees in ([0, 45, 90], (0.0, 45.0, 90.0), (a for a in [0, 45.0, 90]),
+                        range(0, 91, 45), np.array([0, 45, 90]), np.array([0.0, 45.0, 90.0]),
+                        np.array([0.0, 45.0, 90.0], dtype=np.float32)):
+            assert FilterStack.from_degrees(degrees).radians.tolist() == expected.tolist()
+        assert FilterStack(x for x in expected).radians.tolist() == expected.tolist()
 
     @given(radians=st.lists(finite_angles | st.floats(-1e-300, 0.0), max_size=20))
     def test_axes_are_the_angles_of_each_value(self, radians):
