@@ -135,6 +135,22 @@ class TestStackFile:
         with pytest.raises(UsageError, match="line 3"):
             parse_stack_text("0\n45\noops\n")
 
+    def test_injected_text_is_used(self, tmp_path, monkeypatch):
+        # parse_spec hands the file's text to the module-level parse_stack_text
+        # (the name benchmarks/spans.py wraps) and keeps what it returns.
+        path = tmp_path / "stack.txt"
+        path.write_text("0\n45\n90\n")
+        seen = []
+
+        def fake_parse(text, source="stack file"):
+            seen.append((text, source))
+            return np.array([1.0, 2.0])
+
+        monkeypatch.setattr(cli, "parse_stack_text", fake_parse)
+        spec = parse_spec(["--stack-file", str(path), "--mode", "classical"])
+        assert seen == [("0\n45\n90\n", str(path))]
+        assert tuple(spec.filters_deg.tolist()) == (1.0, 2.0)
+
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "stack.txt"
         path.write_text("0\n45\n90\n")
