@@ -23,19 +23,18 @@ through :class:`ExperimentSpec` to the engines.
 from __future__ import annotations
 
 import argparse
-import math
-import numbers
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import TextIO
 
 import numpy as np
 
 from ._cells import float_cells, int_cells, num as _num
-from .core import Angle, ClassicalBeam, FilterStack, _angle_array, angle_from_degrees
+from .core import Angle, ClassicalBeam, FilterStack, angle_from_degrees
+from .core import _ByValue, _angle_array, _integer, _real
 from .engines import (
     CascadeTrace,
     ComparisonReport,
@@ -44,8 +43,6 @@ from .engines import (
     PhotonInput,
     _PHOTONS,
     _SEEDS,
-    _integer,
-    _tolerance,
     compare,
     run_classical,
     run_monte_carlo,
@@ -81,15 +78,8 @@ class UsageError(ValueError):
     """Bad command line or stack file; maps to exit code 2."""
 
 
-def _real(value: object) -> float | None:
-    """A real number other than a bool as a Python float; None for anything else."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    return None
-
-
 @dataclass(frozen=True, eq=False)
-class ExperimentSpec:
+class ExperimentSpec(_ByValue):
     """Validated description of one experiment run.
 
     `filters_deg` takes any sequence of numbers, by the library's rule for
@@ -115,19 +105,6 @@ class ExperimentSpec:
             raise UsageError(f"unknown mode {self.mode!r}")
         if self.output_format not in _FORMATS:
             raise UsageError(f"unknown format {self.output_format!r}")
-        # real fields are held as Python floats, which to_argv writes with float repr
-        if self.input_angle_deg is not None:
-            angle = _real(self.input_angle_deg)
-            try:
-                object.__setattr__(self, "input_angle", angle_from_degrees(angle))
-            except (TypeError, ValueError):
-                raise UsageError(f"--input: not a finite angle: {self.input_angle_deg!r}") from None
-            object.__setattr__(self, "input_angle_deg", angle)
-        # stricter than ClassicalBeam: a dark beam has no transmitted fraction to report
-        intensity = _real(self.intensity)
-        if intensity is None or not 0.0 < intensity < math.inf:
-            raise UsageError(f"--intensity must be a finite real > 0, got {self.intensity!r}")
-        object.__setattr__(self, "intensity", intensity)
         try:
             filters = _angle_array(self.filters_deg).copy()
         except (TypeError, ValueError):
@@ -137,30 +114,33 @@ class ExperimentSpec:
         # the photon range is checked only where photons are sampled
         photon_range = _PHOTONS if self.mode == "mc" else ()
         try:
-            # the library's rules, applied in every mode; integers kept as Python ints
+            # the library's rules, applied in every mode; numbers are held as
+            # Python ints and floats, which to_argv writes with their repr
+            if self.input_angle_deg is not None:
+                angle = _real(self.input_angle_deg, "--input")
+                object.__setattr__(self, "input_angle_deg", angle)
+                object.__setattr__(self, "input_angle", angle_from_degrees(angle))
+            # stricter than ClassicalBeam: a dark beam has no transmitted fraction to report
+            try:
+                intensity = _real(self.intensity, "--intensity", 0)
+            except ValueError:
+                intensity = 0.0
+            if intensity == 0.0:
+                raise ValueError(f"--intensity must be a finite real > 0, got {self.intensity!r}")
+            object.__setattr__(self, "intensity", intensity)
             object.__setattr__(self, "photons", _integer(self.photons, "--photons", *photon_range))
             object.__setattr__(self, "seed", _integer(self.seed, "--seed", *_SEEDS))
             object.__setattr__(self, "workers", _integer(self.workers, "--workers", 1))
-            _tolerance(self.tolerance, "--tolerance")
-            object.__setattr__(self, "tolerance", float(self.tolerance))
+            object.__setattr__(self, "tolerance", _real(self.tolerance, "--tolerance", 0))
             object.__setattr__(self, "stack", FilterStack.from_degrees(filters))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
 
-    def _scalars(self) -> tuple:
-        names = [f.name for f in fields(self) if f.init and f.name != "filters_deg"]
-        return tuple(getattr(self, name) for name in names)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExperimentSpec):
-            return NotImplemented
-        return self._scalars() == other._scalars() and np.array_equal(
-            self.filters_deg, other.filters_deg
-        )
-
-    def __hash__(self) -> int:
+    def _key(self) -> tuple:
         # -0.0 + 0.0 is 0.0, so stacks that compare equal hash alike
-        return hash((self._scalars(), (self.filters_deg + 0.0).tobytes()))
+        return (self.mode, (self.filters_deg + 0.0).tobytes(), self.input_angle_deg,
+                self.intensity, self.photons, self.seed, self.tolerance, self.output_format,
+                self.workers)
 
     def to_argv(self) -> list[str]:
         """Canonical flag list; parsing it back yields an identical spec.

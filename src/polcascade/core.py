@@ -12,6 +12,7 @@ function, so they are safe to share between concurrent workers.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -29,22 +30,66 @@ class ZeroProbabilityProjectionError(ValueError):
     """Raised when projecting a state orthogonal to the polarizer axis."""
 
 
+def _integer(value: object, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """`value` as a Python int in [lo, hi), or a ValueError naming `name`.
+
+    Every integer type passes but bool; a float does not, even an integral
+    one. A bound of None is no bound.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        n = int(value)
+        if (lo is None or lo <= n) and (hi is None or n < hi):
+            return n
+    top = f"2**{hi.bit_length() - 1}" if hi and hi > 2**32 and hi.bit_count() == 1 else hi
+    span = "" if lo is None else f" n >= {lo}" if hi is None else f" n in [{lo}, {top})"
+    raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+
+
+def _real(value: object, name: str, lo: float | None = None) -> float:
+    """`value` as a finite Python float >= lo, or a ValueError naming `name`.
+
+    Every real type passes but bool; text, Decimal and 0-d arrays do not.
+    A bound of None is no bound.
+    """
+    # a float, what the library passes itself, is let through first: the
+    # isinstance test against the ABC costs ~20 times the type test
+    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        try:
+            x = float(value)
+        except OverflowError:  # an int or a Fraction beyond float's range
+            x = math.inf
+        if math.isfinite(x) and (lo is None or lo <= x):
+            return x
+    span = "" if lo is None else f" >= {lo}"
+    raise ValueError(f"{name} must be a finite real{span}, got {value!r}")
+
+
+class _ByValue:
+    """Equality and hash by value, of the tuple `_key()` each subclass gives.
+
+    A value of any other type is unequal.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (type(other) is type(self) and self._key() == other._key())
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
 @dataclass(frozen=True)
 class Angle:
     """Orientation of a polarizer axis or polarization plane.
 
     A polarizer axis at theta is physically identical to theta + pi, so the
     stored value is canonicalized to [0, pi). Construction rejects
-    non-finite input.
+    anything but a finite real number.
     """
 
     radians: float
 
     def __post_init__(self) -> None:
-        r = float(self.radians)
-        if not math.isfinite(r):
-            raise ValueError(f"angle must be finite, got {r!r}")
-        v = r % math.pi
+        v = _real(self.radians, "radians") % math.pi
         # float mod can land exactly on the divisor for tiny negatives
         if v >= math.pi:
             v = 0.0
@@ -61,7 +106,7 @@ def angle_from_degrees(degrees: float) -> Angle:
     Reduction modulo 180 degrees happens in the Angle constructor, e.g.
     225 degrees canonicalizes to pi/4 radians.
     """
-    return Angle(math.radians(degrees))
+    return Angle(math.radians(_real(degrees, "degrees")))
 
 
 def _canonical_angle(radians: float) -> Angle:
@@ -80,18 +125,29 @@ def _angle_array(values: object) -> np.ndarray:
     # the one rule for a list of angles: numbers only, as a 1-D float64 array;
     # text and bools are rejected, whole or as elements, and so is a bytearray,
     # which numpy would read as its byte codes; an iterator is read once
-    if not isinstance(values, np.ndarray):
-        if isinstance(values, bytearray):
-            raise ValueError("filter angles must be numbers, not bytearray")
-        values = np.asarray(list(values) if isinstance(values, Iterator) else values)
-    kind = _NOT_ANGLES.get(values.dtype.kind)
-    if kind:
-        raise ValueError(f"filter angles must be numbers, not {kind}")
-    return values.astype(np.float64, copy=False).ravel()
+    if isinstance(values, np.ndarray):
+        array, elements = values, ()
+    elif isinstance(values, bytearray):
+        raise ValueError("filter angles must be numbers, not bytearray")
+    else:
+        values = list(values) if isinstance(values, Iterator) else values
+        array = np.asarray(values)
+        # numpy reads [True, 90.0] as [1.0, 90.0], so a list's elements are
+        # checked one by one; a numeric array is checked by its dtype alone
+        elements = values if array.ndim else ()
+    kinds = array.dtype.kind
+    if kinds == "O":
+        elements = array.flat
+    if len(elements):
+        kinds += "".join(sorted({np.dtype(t).kind for t in set(map(type, elements))}))
+    for kind in kinds:
+        if kind in _NOT_ANGLES:
+            raise ValueError(f"filter angles must be numbers, not {_NOT_ANGLES[kind]}")
+    return array.astype(np.float64, copy=False).ravel()
 
 
 @dataclass(frozen=True, eq=False)
-class FilterStack:
+class FilterStack(_ByValue):
     """Ordered polarizer axes; an empty stack transmits unchanged.
 
     `radians` is one read-only float64 array, each axis reduced to
@@ -122,15 +178,9 @@ class FilterStack:
     def __len__(self) -> int:
         return len(self.radians)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:  # the angles are finite, so a stack equals itself
-            return True
-        if not isinstance(other, FilterStack):
-            return NotImplemented
-        return np.array_equal(self.radians, other.radians)
-
-    def __hash__(self) -> int:
-        return hash(self.radians.tobytes())
+    def _key(self) -> tuple:
+        # reduced to [0, pi), the angles hold no -0.0, so equal bytes are equal stacks
+        return (self.radians.tobytes(),)
 
 
 @dataclass(frozen=True)
@@ -145,9 +195,7 @@ class ClassicalBeam:
     plane: Angle | None = None
 
     def __post_init__(self) -> None:
-        i = float(self.intensity)
-        if not math.isfinite(i) or i < 0.0:
-            raise ValueError(f"intensity must be finite and >= 0, got {i!r}")
+        i = _real(self.intensity, "intensity", 0)
         if self.plane is not None and not isinstance(self.plane, Angle):
             raise ValueError(f"plane must be an Angle or None, got {self.plane!r}")
         object.__setattr__(self, "intensity", i)
@@ -202,9 +250,7 @@ class PolarizationKet:
     amp_v: float
 
     def __post_init__(self) -> None:
-        h, v = float(self.amp_h), float(self.amp_v)
-        if not (math.isfinite(h) and math.isfinite(v)):
-            raise ValueError("amplitudes must be finite")
+        h, v = _real(self.amp_h, "amp_h"), _real(self.amp_v, "amp_v")
         norm_sq = h * h + v * v
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(

@@ -26,7 +26,6 @@ probability.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Angle, ClassicalBeam, FilterStack, ZERO_PROBABILITY_TOL
+from .core import _ByValue, _integer, _real
 
 # Two-sided 95% normal quantile, used by the Wilson score interval.
 _Z95 = 1.959963984540054
@@ -59,30 +59,6 @@ _CHAIN_COUNTER = (0, 0, 1, 0)
 # Integer ranges [lo, hi): the binomial chain counts survivors in int64, and
 # a seed is a Philox key, one unsigned 64-bit word.
 _PHOTONS, _SEEDS = (1, 2**63), (0, 2**64)
-
-
-def _integer(value: object, name: str, lo: int | None = None, hi: int | None = None) -> int:
-    """`value` as a Python int in [lo, hi), or a ValueError naming `name`.
-
-    Every integer type passes but bool; a float does not, even an integral
-    one. A bound of None is no bound.
-    """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        n = int(value)
-        if (lo is None or lo <= n) and (hi is None or n < hi):
-            return n
-    top = f"2**{hi.bit_length() - 1}" if hi and hi > 2**32 and hi.bit_count() == 1 else hi
-    span = "" if lo is None else f" n >= {lo}" if hi is None else f" n in [{lo}, {top})"
-    raise ValueError(f"{name} must be an integer{span}, got {value!r}")
-
-
-def _tolerance(value: object, name: str) -> None:
-    """Raise a ValueError naming `name` unless `value` is a finite real >= 0.
-
-    An infinite tolerance would pass any pair of traces.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be a finite real >= 0, got {value!r}")
 
 
 class ComparisonDomainError(ValueError):
@@ -176,7 +152,7 @@ class MonteCarloConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class MonteCarloReport:
+class MonteCarloReport(_ByValue):
     """Counts and binomial statistics from a Monte Carlo run.
 
     `per_stage_survivor_counts` is one read-only int64 array aligned with
@@ -190,19 +166,9 @@ class MonteCarloReport:
     standard_error: float
     confidence_interval_95: tuple[float, float]
 
-    def _scalars(self) -> tuple:
-        return (self.config, self.transmitted_count, self.estimate, self.standard_error,
-                self.confidence_interval_95)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MonteCarloReport):
-            return NotImplemented
-        return self._scalars() == other._scalars() and np.array_equal(
-            self.per_stage_survivor_counts, other.per_stage_survivor_counts
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._scalars(), self.per_stage_survivor_counts.tobytes()))
+    def _key(self) -> tuple:
+        return (self.config, self.per_stage_survivor_counts.tobytes(), self.transmitted_count,
+                self.estimate, self.standard_error, self.confidence_interval_95)
 
     @property
     def seed(self) -> int:
@@ -474,7 +440,7 @@ def compare(
         If the traces are not a (classical, quantum) pair over the same
         stack and equivalent input, or the classical input is dark.
     """
-    _tolerance(tolerance, "tolerance")
+    tolerance = _real(tolerance, "tolerance", 0)
     if not isinstance(classical.input_description, ClassicalBeam):
         raise ComparisonDomainError("first trace must come from the classical engine")
     if not isinstance(quantum.input_description, PhotonInput):

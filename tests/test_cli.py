@@ -3,11 +3,14 @@
 import contextlib
 import dataclasses
 import io
+import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +28,13 @@ from polcascade.cli import (
     render_trace,
     run_experiment,
 )
-from polcascade.core import ClassicalBeam, FilterStack, angle_from_degrees
+from polcascade.core import (
+    Angle,
+    ClassicalBeam,
+    FilterStack,
+    PolarizationKet,
+    angle_from_degrees,
+)
 from polcascade.engines import (
     ComparisonReport,
     MonteCarloConfig,
@@ -35,6 +44,37 @@ from polcascade.engines import (
     run_monte_carlo,
     run_quantum_exact,
 )
+
+
+def _partner(amplitude):
+    # the other amplitude of a normalized ket, for the amplitudes the rule accepts
+    return math.sqrt(0.75) if amplitude == 0.5 else 0.0
+
+
+def _tolerance_slot(tolerance):
+    stack = FilterStack.from_degrees([0, 45])
+    classical = run_classical(ClassicalBeam.unpolarized(1.0), stack)
+    quantum = run_quantum_exact(PhotonInput.unpolarized(), stack)
+    return compare(classical, quantum, tolerance).tolerance
+
+
+# every slot that takes a real number: the name its error starts with,
+# whether it must be >= 0, and a function that fills it and returns what it holds
+_REAL_SLOTS = {
+    "Angle": ("radians", False, lambda x: Angle(x).radians),
+    "angle_from_degrees": ("degrees", False, lambda x: angle_from_degrees(x).radians),
+    "ClassicalBeam.intensity": ("intensity", True, lambda x: ClassicalBeam(x).intensity),
+    "PolarizationKet.amp_h": ("amp_h", False, lambda x: PolarizationKet(x, _partner(x)).amp_h),
+    "PolarizationKet.amp_v": ("amp_v", False, lambda x: PolarizationKet(_partner(x), x).amp_v),
+    "compare.tolerance": ("tolerance", True, _tolerance_slot),
+    "ExperimentSpec.intensity": (
+        "--intensity", True, lambda x: ExperimentSpec(mode="compare", intensity=x).intensity),
+    "ExperimentSpec.tolerance": (
+        "--tolerance", True, lambda x: ExperimentSpec(mode="compare", tolerance=x).tolerance),
+    "ExperimentSpec.input_angle_deg": (
+        "--input", False,
+        lambda x: ExperimentSpec(mode="compare", input_angle_deg=x).input_angle_deg),
+}
 
 # a 10-stage stack whose classical/quantum fractions differ by ~1e-16,
 # which an absurdly tight tolerance must flag
@@ -693,6 +733,9 @@ class TestInputValidation:
         assert same == spec and hash(same) == hash(spec)
         assert spec != ExperimentSpec(mode="classical", filters_deg=(0.0, 45.5))
         assert spec != ExperimentSpec(mode="quantum", filters_deg=(0.0, 45.0))
+        # any other type is unequal, as a plain bool, not an array
+        assert (spec == spec.filters_deg) is False
+        assert (spec != spec.filters_deg) is True
 
     def test_first_non_finite_angle_named(self):
         with pytest.raises(UsageError, match="finite, got -inf$"):
@@ -706,10 +749,28 @@ class TestInputValidation:
             kwargs = {"input_angle_deg": 10.0}
             with pytest.raises(UsageError, match=f"^{flag}"):
                 ExperimentSpec(mode="compare", **{**kwargs, name: True})
-            for value in (np.float64(0.5), np.float32(0.5), 1):
+            for value in (np.float64(0.5), np.float32(0.5), 1, np.int64(1), Fraction(1, 2)):
                 spec = ExperimentSpec(mode="compare", **{**kwargs, name: value})
                 assert type(getattr(spec, name)) is float
                 assert parse_spec(spec.to_argv()) == spec
+
+    @pytest.mark.parametrize("slot", sorted(_REAL_SLOTS))
+    def test_every_real_slot_follows_one_rule(self, slot):
+        name, at_least_zero, build = _REAL_SLOTS[slot]
+        # text, bools, Decimal and 0-d arrays once passed Angle, ClassicalBeam
+        # and PolarizationKet, which read them with float()
+        bad = [True, "0.5", b"1", Decimal("0.5"), np.array(0.5), math.nan, math.inf, -math.inf,
+               10**400]  # the last is beyond float's range
+        if slot != "ExperimentSpec.input_angle_deg":  # there None is unpolarized input
+            bad.append(None)
+        if at_least_zero:
+            bad.append(-1)
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a finite real"):
+                build(value)
+        for value in (1, np.int64(1), np.float32(0.5), Fraction(1, 2)):
+            stored = build(value)
+            assert type(stored) is float and stored == build(float(value)), value
 
     def test_wrong_types_name_the_field(self):
         # each once escaped as a TypeError or a bare ValueError
@@ -728,6 +789,10 @@ class TestInputValidation:
             ("--filters", {"filters_deg": ["45", "90"]}),
             ("--filters", {"filters_deg": [True, False]}),
             ("--filters", {"filters_deg": (a for a in ["45"])}),
+            # read as numbers by numpy: [45., 1.] and 45 deg
+            ("--filters", {"filters_deg": [45.0, True]}),
+            ("--filters", {"filters_deg": np.array(["45", 90], dtype=object)}),
+            ("--filters", {"filters_deg": (a for a in [0.0, True])}),
         ]
         for flag, kwargs in cases:
             with pytest.raises(UsageError, match=f"^{flag}"):

@@ -104,9 +104,15 @@ class TestFilterStack:
             ([b"45"], "bytes"),
             ([True, False], "bool"),
             (np.array([True]), "bool"),
+            # numpy reads these as numbers, so each element's type is checked
+            ([True, 90.0], "bool"),  # from_degrees read it as 1 and 90 deg
+            ((90.0, np.True_), "bool"),
+            (np.array(["45", 90], dtype=object), "str"),  # read as 45 and 90 deg
+            (np.array([0.0, True], dtype=object), "bool"),
         ],
         ids=["str", "bytes", "bytearray", "empty-str", "empty-bytes", "str-list", "str-pair",
-             "str-array", "bytes-list", "bool-list", "bool-array"],
+             "str-array", "bytes-list", "bool-list", "bool-array", "bool-among-floats",
+             "numpy-bool-in-tuple", "str-in-object-array", "bool-in-object-array"],
     )
     def test_text_is_not_a_list_of_angles(self, text, name):
         # iterating "45" would give the stack 4 and 5 degrees, and b"45" 52
@@ -123,6 +129,16 @@ class TestFilterStack:
                         np.array([0.0, 45.0, 90.0], dtype=np.float32)):
             assert FilterStack.from_degrees(degrees).radians.tolist() == expected.tolist()
         assert FilterStack(x for x in expected).radians.tolist() == expected.tolist()
+
+    def test_compares_and_hashes_by_value(self):
+        stack = FilterStack.from_degrees([0, 45, 90])
+        same = FilterStack.from_degrees([180, 45, 90])
+        assert stack is not same and stack == same and hash(stack) == hash(same)
+        assert stack != FilterStack.from_degrees([0, 45])
+        # any other type is unequal, as a plain bool; an array once answered
+        # element by element
+        assert (stack == stack.radians) is False
+        assert (stack != stack.radians) is True
 
     @given(radians=st.lists(finite_angles | st.floats(-1e-300, 0.0), max_size=20))
     def test_axes_are_the_angles_of_each_value(self, radians):

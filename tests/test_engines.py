@@ -443,6 +443,10 @@ class TestMonteCarlo:
         assert report is not twin and report == twin and hash(report) == hash(twin)
         other = run_monte_carlo(MonteCarloConfig(5000, 5, config.input, config.stack))
         assert other != report
+        # any other type is unequal, as a plain bool; the counts array once
+        # answered element by element
+        assert (report != report.per_stage_survivor_counts) is True
+        assert (report == report.per_stage_survivor_counts) is False
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_worker_count_does_not_change_results(self, workers):
