@@ -291,17 +291,17 @@ def parse_spec(argv: list[str]) -> ExperimentSpec:
 
 
 def _block_cells(columns: list, lo: int, hi: int) -> list[np.ndarray]:
-    # rows lo..hi of each column as a uint8 matrix of cells; missing cells read "-"
+    # rows lo..hi of each column as a uint8 matrix of cells; missing cells read "-";
+    # a column that is a function is called for those rows' values
     out = []
     for column in columns:
         values, missing = column if isinstance(column, tuple) else (column, None)
-        if values is _STAGE:
-            cells = int_cells(np.arange(lo + 1, hi + 1))
-        elif values.dtype.kind == "f":
-            cells, lengths = float_cells(values[lo:hi])
+        block = values(lo, hi) if callable(values) else values[lo:hi]
+        if block.dtype.kind == "f":
+            cells, lengths = float_cells(block)
             cells = cells[:, : lengths.max()]
         else:
-            cells = int_cells(values[lo:hi])
+            cells = int_cells(block)
         if missing is not None:
             cells[missing[lo:hi]] = 0
             cells[missing[lo:hi], 0] = ord("-")
@@ -325,8 +325,9 @@ def _join(pieces: list[bytes], cells: list[np.ndarray]) -> str:
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-# the column of stage numbers, 1 to n, in a row layout
-_STAGE = object()
+def _stages(lo: int, hi: int) -> np.ndarray:
+    # the column of stage numbers, 1 to n, in a row layout
+    return np.arange(lo + 1, hi + 1)
 
 
 @dataclass(frozen=True)
@@ -354,20 +355,24 @@ def _write(table: _Table, output_format: str) -> Iterator[str]:
     Yields the header, each block of rows and the footer, every one ending
     in a newline. A row is literal text around its cells, the stage number
     first; each block of rows is made as one byte string, so only one
-    block of cells is alive at once.
+    block of cells is alive at once. The axes are turned into degrees one
+    block at a time too, so no whole-stack column is added.
     """
     if output_format not in _FORMATS:
         raise ValueError(f"unknown format {output_format!r}")
-    axes = np.degrees(table.stack.radians)
+
+    def axes(lo: int, hi: int) -> np.ndarray:
+        return np.degrees(table.stack.radians[lo:hi])
+
     if output_format == "tsv":
         head, foot = _TSV_HEADER, table.tsv_footer
-        items = ["", _STAGE, "\t", axes]
+        items = ["", _stages, "\t", axes]
         for column in table.tsv_columns:
             items += ["\t", "-" if column is None else column]
         items.append("\n")
     else:
         head, foot = table.heading, [table.summary]
-        items = ["  stage ", _STAGE, ": axis ", axes, " deg"]
+        items = ["  stage ", _stages, ": axis ", axes, " deg"]
         for template, *columns in table.text_cells:
             parts = template.split("%s")
             items.append(", " + parts[0])
@@ -384,8 +389,9 @@ def _write(table: _Table, output_format: str) -> Iterator[str]:
             pieces.append("")
     pieces = [p.encode("ascii") for p in pieces]
     yield head + "\n"
-    for lo in range(0, len(axes), _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, len(axes))
+    n = len(table.stack)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
         yield _join(pieces, _block_cells(columns, lo, hi))
     for line in foot:
         yield line + "\n"

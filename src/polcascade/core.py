@@ -36,7 +36,8 @@ def _integer(value: object, name: str, lo: int | None = None, hi: int | None = N
     Every integer type passes but bool; a float does not, even an integral
     one. A bound of None is no bound.
     """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    # an int, what the library passes itself, is let through first, as in _real
+    if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
         n = int(value)
         if (lo is None or lo <= n) and (hi is None or n < hi):
             return n
@@ -123,8 +124,9 @@ _NOT_ANGLES = {"U": "str", "S": "bytes", "b": "bool"}
 
 def _angle_array(values: object) -> np.ndarray:
     # the one rule for a list of angles: numbers only, as a 1-D float64 array;
-    # text and bools are rejected, whole or as elements, and so is a bytearray,
-    # which numpy would read as its byte codes; an iterator is read once
+    # text, bools and None are rejected, whole or as elements at any depth, and
+    # so is a bytearray, which numpy would read as its byte codes; an iterator
+    # is read once
     if isinstance(values, np.ndarray):
         array, elements = values, ()
     elif isinstance(values, bytearray):
@@ -133,13 +135,20 @@ def _angle_array(values: object) -> np.ndarray:
         values = list(values) if isinstance(values, Iterator) else values
         array = np.asarray(values)
         # numpy reads [True, 90.0] as [1.0, 90.0], so a list's elements are
-        # checked one by one; a numeric array is checked by its dtype alone
-        elements = values if array.ndim else ()
+        # checked one by one, and a nested list's innermost ones; a numeric
+        # array is checked by its dtype alone
+        if array.ndim > 1:
+            elements = np.asarray(values, dtype=object).flat
+        else:
+            elements = values if array.ndim else ()
     kinds = array.dtype.kind
     if kinds == "O":
         elements = array.flat
-    if len(elements):
-        kinds += "".join(sorted({np.dtype(t).kind for t in set(map(type, elements))}))
+    types = set(map(type, elements))
+    if type(None) in types:
+        # numpy would read None as nan
+        raise ValueError("filter angles must be numbers, not None")
+    kinds += "".join(sorted({np.dtype(t).kind for t in types}))
     for kind in kinds:
         if kind in _NOT_ANGLES:
             raise ValueError(f"filter angles must be numbers, not {_NOT_ANGLES[kind]}")

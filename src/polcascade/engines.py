@@ -202,11 +202,22 @@ def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
     empty stack transmits unchanged with fraction 1.
     """
     axes = stack.radians
-    planes = axes if input.plane is None else np.concatenate(([input.plane.radians], axes))
-    c = np.cos(planes[1:] - planes[:-1])
-    halved = [0.5] * len(axes[:1]) if input.plane is None else []
+    # one array, filled in place: the input intensity, then each stage's
+    # factor (1/2 for unpolarized light at the first filter, else the cos^2
+    # of the angle from the plane before), then their running product
+    intensities = np.empty(len(axes) + 1)
+    intensities[0] = input.intensity
+    if input.plane is None:
+        intensities[1:2] = 0.5
+        factors = intensities[2:]
+    else:
+        factors = intensities[1:]
+        factors[:1] = axes[:1] - input.plane.radians
+    np.subtract(axes[1:], axes[:-1], out=factors[len(factors) - len(axes) + 1:])
+    np.cos(factors, out=factors)
+    np.multiply(factors, factors, out=factors)
     # a sequential running product: the same roundings as the per-filter loop
-    intensities = np.multiply.accumulate(np.concatenate(([input.intensity], halved, c * c)))
+    np.multiply.accumulate(intensities, out=intensities)
     if input.intensity > 0.0:
         fraction = float(intensities[-1]) / input.intensity
     else:
@@ -227,15 +238,21 @@ def _born_probabilities(input: PhotonInput, axes: np.ndarray) -> np.ndarray:
     of the filter before it. Probabilities are squared, clamped dot products
     of (cos, sin) kets, as :func:`polcascade.core.pass_probability` has them.
     """
-    planes = axes if input.is_unpolarized else np.concatenate(([input.angle.radians], axes))
-    h, v = np.cos(planes), np.sin(planes)
-    dot = h[1:] * h[:-1] + v[1:] * v[:-1]
+    # the plane each stage sees: the input's (a pure ket), then each filter's
+    planes = axes.copy() if input.is_unpolarized else np.concatenate(([input.angle.radians], axes))
+    v = np.sin(planes)
+    h = np.cos(planes, out=planes)
+    probs = np.empty(len(axes))
+    probs[:1] = 0.5
+    # the dot products, written after the 1/2 of unpolarized input; the
+    # spent h holds the v products, so no other whole-stack array is made
+    dot = probs[len(probs) - len(planes) + 1:]
+    np.multiply(h[1:], h[:-1], out=dot)
+    dot += np.multiply(v[1:], v[:-1], out=h[1:])
     # clamped to [-1, 1] in place; np.clip costs more than both calls
     np.maximum(dot, -1.0, out=dot)
     np.minimum(dot, 1.0, out=dot)
-    probs = dot * dot
-    if input.is_unpolarized and len(axes):
-        probs = np.concatenate(([0.5], probs))
+    np.multiply(dot, dot, out=dot)
     return probs
 
 
@@ -459,8 +476,10 @@ def compare(
     intensity_in = classical.input_description.intensity
     if intensity_in == 0.0:
         raise ComparisonDomainError("classical input is dark, so it has no transmitted fraction")
-    fractions = classical.classical_intensity_after / intensity_in
-    diffs = np.abs(fractions - quantum.cumulative_probability)
+    # |fraction - cumulative| at each stage, in one array
+    diffs = np.divide(classical.classical_intensity_after, intensity_in)
+    np.subtract(diffs, quantum.cumulative_probability, out=diffs)
+    np.abs(diffs, out=diffs)
     final_diff = abs(
         classical.final_transmitted_fraction - quantum.final_transmitted_fraction
     )

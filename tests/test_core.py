@@ -109,10 +109,19 @@ class TestFilterStack:
             ((90.0, np.True_), "bool"),
             (np.array(["45", 90], dtype=object), "str"),  # read as 45 and 90 deg
             (np.array([0.0, True], dtype=object), "bool"),
+            # nested lists are checked to their innermost elements
+            ([[True, 90.0]], "bool"),  # from_degrees read it as 1 and 90 deg
+            (((90.0,), (np.True_,)), "bool"),
+            # numpy reads None as nan, which was reported as a nan angle
+            ([1.0, None], "None"),
+            ([[1.0, None]], "None"),
+            (None, "None"),
         ],
         ids=["str", "bytes", "bytearray", "empty-str", "empty-bytes", "str-list", "str-pair",
              "str-array", "bytes-list", "bool-list", "bool-array", "bool-among-floats",
-             "numpy-bool-in-tuple", "str-in-object-array", "bool-in-object-array"],
+             "numpy-bool-in-tuple", "str-in-object-array", "bool-in-object-array",
+             "bool-in-nested-list", "numpy-bool-in-nested-tuple",
+             "none-among-floats", "none-in-nested-list", "none"],
     )
     def test_text_is_not_a_list_of_angles(self, text, name):
         # iterating "45" would give the stack 4 and 5 degrees, and b"45" 52

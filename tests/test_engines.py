@@ -254,6 +254,45 @@ class TestEquivalence:
         assert worst <= 1e-9
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestEngineMemory:
+    # each engine holds its output columns and at most one whole-stack
+    # temporary, 8 bytes a filter each; a run of a long stack holds little else
+    N = 100_000
+    COLUMN = 8 * N
+    SLACK = 1 << 16
+
+    @pytest.fixture(params=[None, 30.0], ids=["unpolarized", "linear"])
+    def runs(self, request):
+        stack = FilterStack(np.cumsum(np.random.default_rng(3).normal(0.0, 0.01, self.N)))
+        angle = None if request.param is None else deg(request.param)
+        return (lambda: run_classical(ClassicalBeam(1.0, angle), stack),
+                lambda: run_quantum_exact(PhotonInput(angle), stack))
+
+    def test_classical_holds_its_intensities_and_one_temporary(self, runs):
+        _, peak = _traced_peak(runs[0])
+        assert peak < 2 * self.COLUMN + self.SLACK, peak
+
+    def test_quantum_holds_its_two_columns_and_one_temporary(self, runs):
+        _, peak = _traced_peak(runs[1])
+        assert peak < 3 * self.COLUMN + self.SLACK, peak
+
+    def test_compare_holds_its_differences_and_one_temporary(self, runs):
+        classical, quantum = runs[0](), runs[1]()
+        report, peak = _traced_peak(lambda: compare(classical, quantum, 1e-9))
+        assert report.passed
+        assert peak < 2 * self.COLUMN + self.SLACK, peak
+
+
 class TestCompare:
     def test_three_filter_agreement(self):
         stack = stack_of(0, 45, 90)
