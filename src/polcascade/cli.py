@@ -9,15 +9,18 @@ quietly, when the reader closes stdout before the output ends.
 Each result kind only builds a table (stack, TSV columns and footer, text
 heading, cells and summary); one writer lays every table out in either
 format, so the row layouts and number formatting live in one place. The
-writer makes the output one block of 4096 rows at a time, each block one
-byte string: a numpy formatter gives every cell exactly the bytes of
-Python's 12-significant-digit `format(x, ".12g")`, and only the cells it
-cannot prove exact (near a rounding tie, nan, inf, subnormal or extreme)
-go through `format` itself. The renderers and :func:`run_experiment`
-write each block to the text stream they are given as it is made, and
-:func:`main` passes stdout, so a run holds one block of output, never all
-of it. The stack travels as float64 arrays, from :func:`parse_stack_text`
-through :class:`ExperimentSpec` to the engines.
+writer makes the output one block of 2048 rows at a time: each row is laid
+out in one byte buffer, the literal text and a fixed-width slot per cell,
+one column at a time; the NULs that pad the slots are dropped and the
+bytes decoded once. A numpy formatter gives every cell exactly the bytes
+of Python's 12-significant-digit `format(x, ".12g")`, subnormals
+included, and only the cells it cannot prove exact (near a rounding tie,
+negative, nan or inf) go through `format` itself. The renderers and
+:func:`run_experiment` write each block to the text stream they are given
+as it is made, and :func:`main` passes stdout, so a run holds one block of
+output, never all of it. The stack travels as float64 arrays, from
+:func:`parse_stack_text` through :class:`ExperimentSpec` to the engines;
+:func:`parse_spec` lets the stack file's text go before the spec is built.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import TextIO
 
 import numpy as np
 
-from ._cells import float_cells, int_cells, num as _num
+from ._cells import FLOAT_WIDTH, float_cells, int_cells, num as _num
 from .core import Angle, ClassicalBeam, FilterStack, angle_from_degrees
 from .core import _ByValue, _angle_array, _integer, _real
 from .engines import (
@@ -67,8 +70,8 @@ _FIELDS = {
 
 _TSV_HEADER = "stage\taxis_deg\tclassical_intensity\tstage_prob\tcumulative_prob"
 
-# rows formatted and joined at a time: bounds the cells and row strings alive at once
-_BLOCK_ROWS = 4096
+# rows laid out at a time: bounds the cells and row bytes alive at once
+_BLOCK_ROWS = 2048
 
 # stack-file characters split into lines at a time: bounds the line strings alive at once
 _PARSE_CHARS = 1 << 16
@@ -78,7 +81,7 @@ class UsageError(ValueError):
     """Bad command line or stack file; maps to exit code 2."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ExperimentSpec(_ByValue):
     """Validated description of one experiment run.
 
@@ -287,42 +290,41 @@ def parse_spec(argv: list[str]) -> ExperimentSpec:
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"--stack-file: cannot read {stack_file!r}: {exc}") from None
         args["filters_deg"] = parse_stack_text(text, source=stack_file)
+        # the text, ~18 bytes a filter, is let go before the spec copies the angles
+        del text
     return ExperimentSpec(**args)
 
 
-def _block_cells(columns: list, lo: int, hi: int) -> list[np.ndarray]:
-    # rows lo..hi of each column as a uint8 matrix of cells; missing cells read "-";
-    # a column that is a function is called for those rows' values
-    out = []
+def _block(pieces: list[np.ndarray], columns: list, lo: int, hi: int) -> str:
+    # rows lo..hi: pieces[0], a cell of columns[0], pieces[1], ..., pieces[-1],
+    # where a column that is a function is called for those rows' values and
+    # a (values, missing) pair reads "-" where `missing` is set. The rows are
+    # laid out in one buffer, a fixed-width slot per cell, one column at a
+    # time; the NULs that pad the slots are dropped before it is decoded.
+    slots = []
     for column in columns:
         values, missing = column if isinstance(column, tuple) else (column, None)
         block = values(lo, hi) if callable(values) else values[lo:hi]
-        if block.dtype.kind == "f":
-            cells, lengths = float_cells(block)
-            cells = cells[:, : lengths.max()]
-        else:
-            cells = int_cells(block)
-        if missing is not None:
-            cells[missing[lo:hi]] = 0
-            cells[missing[lo:hi], 0] = ord("-")
-        out.append(cells)
-    return out
-
-
-def _join(pieces: list[bytes], cells: list[np.ndarray]) -> str:
-    # one row per cell row: pieces[0], cells[0], pieces[1], ..., pieces[-1];
-    # the NULs that pad the cells are dropped
-    row, spans = bytearray(), []
-    for piece, cell in zip(pieces, [*cells, None]):
-        row += piece
-        if cell is not None:
-            spans.append((len(row), cell))
-            row += bytes(cell.shape[1])
-    out = np.empty((len(cells[0]), len(row)), np.uint8)
-    out[:] = np.frombuffer(row, np.uint8)
-    for at, cell in spans:
-        out[:, at:at + cell.shape[1]] = cell
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+        width = FLOAT_WIDTH if block.dtype.kind == "f" else len(str(int(block.max())))
+        slots.append((block, None if missing is None else missing[lo:hi], width))
+    buffer = bytearray((hi - lo) * (sum(map(len, pieces)) + sum(w for *_, w in slots)))
+    rows = np.frombuffer(buffer, np.uint8).reshape(hi - lo, -1)
+    at = 0
+    for piece in pieces:
+        rows[:, at:at + len(piece)] = piece
+        at += len(piece)
+        if slots:
+            # popped, so that a column's values are let go once its cells are laid out
+            block, missing, width = slots.pop(0)
+            cells = float_cells if block.dtype.kind == "f" else int_cells
+            rows[:, at:at + width] = cells(block)
+            if missing is not None:
+                rows[missing, at:at + width] = 0
+                rows[missing, at] = ord("-")
+            at += width
+    text = buffer.translate(None, b"\0")
+    del rows, buffer
+    return text.decode("ascii")
 
 
 def _stages(lo: int, hi: int) -> np.ndarray:
@@ -330,7 +332,7 @@ def _stages(lo: int, hi: int) -> np.ndarray:
     return np.arange(lo + 1, hi + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Table:
     """One result, one row per filter; :func:`_write` lays it out.
 
@@ -354,7 +356,7 @@ def _write(table: _Table, output_format: str) -> Iterator[str]:
 
     Yields the header, each block of rows and the footer, every one ending
     in a newline. A row is literal text around its cells, the stage number
-    first; each block of rows is made as one byte string, so only one
+    first; each block of rows is made in one byte buffer, so only one
     block of cells is alive at once. The axes are turned into degrees one
     block at a time too, so no whole-stack column is added.
     """
@@ -387,12 +389,11 @@ def _write(table: _Table, output_format: str) -> Iterator[str]:
         else:
             columns.append(item)
             pieces.append("")
-    pieces = [p.encode("ascii") for p in pieces]
+    pieces = [np.frombuffer(p.encode("ascii"), np.uint8) for p in pieces]
     yield head + "\n"
     n = len(table.stack)
     for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        yield _join(pieces, _block_cells(columns, lo, hi))
+        yield _block(pieces, columns, lo, min(lo + _BLOCK_ROWS, n))
     for line in foot:
         yield line + "\n"
 

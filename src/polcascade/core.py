@@ -71,6 +71,8 @@ class _ByValue:
     A value of any other type is unequal.
     """
 
+    __slots__ = ()
+
     def __eq__(self, other: object) -> bool:
         return self is other or (type(other) is type(self) and self._key() == other._key())
 
@@ -78,7 +80,7 @@ class _ByValue:
         return hash(self._key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Angle:
     """Orientation of a polarizer axis or polarization plane.
 
@@ -155,7 +157,7 @@ def _angle_array(values: object) -> np.ndarray:
     return array.astype(np.float64, copy=False).ravel()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FilterStack(_ByValue):
     """Ordered polarizer axes; an empty stack transmits unchanged.
 
@@ -192,7 +194,7 @@ class FilterStack(_ByValue):
         return (self.radians.tobytes(),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassicalBeam:
     """Classical light state: unpolarized, or linearly polarized in `plane`.
 
@@ -245,7 +247,7 @@ def classical_transmit(beam: ClassicalBeam, axis: Angle) -> ClassicalBeam:
     return ClassicalBeam.linear(axis, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolarizationKet:
     """Pure photon polarization state: real amplitudes over {H, V}.
 

@@ -56,6 +56,9 @@ _SCREEN_MARGIN = 1e-5
 # 2..S. Photon blocks have a zero third word, so the streams never overlap.
 _CHAIN_COUNTER = (0, 0, 1, 0)
 
+# stages of the chain converted to Python floats at a time: bounds the list
+_CHAIN_STAGES = 4096
+
 # Integer ranges [lo, hi): the binomial chain counts survivors in int64, and
 # a seed is a Philox key, one unsigned 64-bit word.
 _PHOTONS, _SEEDS = (1, 2**63), (0, 2**64)
@@ -65,7 +68,7 @@ class ComparisonDomainError(ValueError):
     """Raised when two traces are not comparable (different stack or input)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhotonInput:
     """Quantum-side input: a pure ket at a plane angle, or unpolarized.
 
@@ -104,7 +107,7 @@ class StageRecord(NamedTuple):
     cumulative_probability: float | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CascadeTrace:
     """End-to-end result of a classical or exact quantum run.
 
@@ -132,7 +135,7 @@ class CascadeTrace:
         return tuple(map(StageRecord._make, zip(range(1, n + 1), self.stack.axes, *values)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonteCarloConfig:
     """Photon-sampling run description; identifies the result bit-exactly."""
 
@@ -151,7 +154,7 @@ class MonteCarloConfig:
         object.__setattr__(self, "seed", _integer(self.seed, "seed", *_SEEDS))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MonteCarloReport(_ByValue):
     """Counts and binomial statistics from a Monte Carlo run.
 
@@ -179,7 +182,7 @@ class MonteCarloReport(_ByValue):
         return self.config.photon_count
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ComparisonReport:
     """Per-stage and final differences between classical and quantum runs.
 
@@ -416,13 +419,23 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             survivors = sum(pool.map(share, range(threads)))
-        chain = np.random.Generator(np.random.Philox(key=config.seed, counter=_CHAIN_COUNTER))
+        binomial = np.random.Generator(
+            np.random.Philox(key=config.seed, counter=_CHAIN_COUNTER)
+        ).binomial
         counts[0] = survivors
-        for j in range(1, len(probs)):
+        # the stage probabilities as Python floats and the counts as Python
+        # ints, one block of stages at a time: the same draws, without a
+        # numpy scalar per stage
+        for start in range(1, len(probs), _CHAIN_STAGES):
+            alive = []
+            for p in probs[start:start + _CHAIN_STAGES].tolist():
+                if not survivors:
+                    break
+                survivors = binomial(survivors, p)
+                alive.append(survivors)
+            counts[start:start + len(alive)] = alive
             if not survivors:
                 break
-            survivors = int(chain.binomial(survivors, probs[j]))
-            counts[j] = survivors
         transmitted = survivors
     counts.flags.writeable = False
     estimate = transmitted / n
