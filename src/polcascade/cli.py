@@ -110,8 +110,8 @@ class ExperimentSpec(_ByValue):
             raise UsageError(f"unknown format {self.output_format!r}")
         try:
             filters = _angle_array(self.filters_deg).copy()
-        except (TypeError, ValueError):
-            raise UsageError(f"--filters: not angles in degrees: {self.filters_deg!r}") from None
+        except ValueError as exc:
+            raise UsageError(f"--filters: {exc}") from None
         filters.flags.writeable = False
         object.__setattr__(self, "filters_deg", filters)
         # the photon range is checked only where photons are sampled
@@ -276,8 +276,8 @@ def parse_stack_text(text: str, source: str = "stack file") -> np.ndarray:
         raise
 
 
-def parse_spec(argv: list[str]) -> ExperimentSpec:
-    """Parse command-line tokens into a validated :class:`ExperimentSpec`.
+def parse_spec(argv: list[str] | None) -> ExperimentSpec:
+    """Parse command-line tokens (None: `sys.argv[1:]`) into a validated :class:`ExperimentSpec`.
 
     Explicit --filters angles override the --stack-file contents.
     """
@@ -298,15 +298,15 @@ def parse_spec(argv: list[str]) -> ExperimentSpec:
 def _block(pieces: list[np.ndarray], columns: list, lo: int, hi: int) -> str:
     # rows lo..hi: pieces[0], a cell of columns[0], pieces[1], ..., pieces[-1],
     # where a column that is a function is called for those rows' values and
-    # a (values, missing) pair reads "-" where `missing` is set. The rows are
-    # laid out in one buffer, a fixed-width slot per cell, one column at a
+    # a (values, missing) pair reads "-" where `missing(lo, hi)` is set. The rows
+    # are laid out in one buffer, a fixed-width slot per cell, one column at a
     # time; the NULs that pad the slots are dropped before it is decoded.
     slots = []
     for column in columns:
         values, missing = column if isinstance(column, tuple) else (column, None)
         block = values(lo, hi) if callable(values) else values[lo:hi]
         width = FLOAT_WIDTH if block.dtype.kind == "f" else len(str(int(block.max())))
-        slots.append((block, None if missing is None else missing[lo:hi], width))
+        slots.append((block, None if missing is None else missing(lo, hi), width))
     buffer = bytearray((hi - lo) * (sum(map(len, pieces)) + sum(w for *_, w in slots)))
     rows = np.frombuffer(buffer, np.uint8).reshape(hi - lo, -1)
     at = 0
@@ -338,9 +338,9 @@ class _Table:
 
     `tsv_columns` fill the three value columns (`None` is a column of `-`);
     `text_cells` are a template and the columns that fill its `%s` fields
-    in order, such as ``("intensity %s", column)``. A column is a 1-D numpy
-    array of float64 or non-negative int64, or a (values, missing) pair of
-    such arrays whose cells read `-` where `missing` is set.
+    in order, such as ``("intensity %s", column)``. A column is a 1-D array
+    of float64 or non-negative int64, a function of rows (lo, hi) giving their
+    block of one, or a (values, missing) pair, `-` where `missing(lo, hi)` is set.
     """
 
     stack: FilterStack
@@ -426,16 +426,24 @@ def _cascade_table(trace: CascadeTrace) -> _Table:
 
 
 def _mc_table(report: MonteCarloReport) -> _Table:
+    # every column but the counts is made for one block of rows at a time
     n = report.photon_count
     counts = report.per_stage_survivor_counts
-    before = np.append(n, counts)[:-1]
-    missing = before == 0
-    stage_prob = (np.divide(counts, before, out=np.zeros(len(counts)), where=~missing), missing)
+
+    def before(lo: int, hi: int) -> np.ndarray:
+        # the photons that reached each stage: n at the first, then the survivors
+        return np.append(counts[lo - 1] if lo else n, counts[lo:hi - 1])
+
+    def stage_prob(lo: int, hi: int) -> np.ndarray:
+        reached = before(lo, hi)
+        return np.divide(counts[lo:hi], reached, out=np.zeros(hi - lo), where=reached != 0)
+
     estimate, stderr = _num(report.estimate), _num(report.standard_error)
     lo, hi = (_num(x) for x in report.confidence_interval_95)
     return _Table(
         stack=report.config.stack,
-        tsv_columns=(None, stage_prob, counts / n),
+        tsv_columns=(None, (stage_prob, lambda lo, hi: before(lo, hi) == 0),
+                     lambda lo, hi: counts[lo:hi] / n),
         tsv_footer=[
             f"# final_fraction={estimate}",
             f"# estimate={estimate} stderr={stderr} ci95={lo},{hi} seed={report.seed}",
@@ -547,8 +555,6 @@ def main(argv: list[str] | None = None) -> int:
     failure: the run stops quietly with 141, the code of a process that
     SIGPIPE ended.
     """
-    if argv is None:
-        argv = sys.argv[1:]
     out = sys.stdout
     try:
         result = run_experiment(parse_spec(argv), out)

@@ -30,14 +30,20 @@ class ZeroProbabilityProjectionError(ValueError):
     """Raised when projecting a state orthogonal to the polarizer axis."""
 
 
+def _is_number(kind: type, abc: type = numbers.Real) -> bool:
+    # the one type test for a number: an `abc` (numbers.Real or Integral) type
+    # but bool and numpy's times, which numpy registers as integers
+    return issubclass(kind, abc) and not issubclass(kind, (bool, np.datetime64, np.timedelta64))
+
+
 def _integer(value: object, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """`value` as a Python int in [lo, hi), or a ValueError naming `name`.
 
-    Every integer type passes but bool; a float does not, even an integral
-    one. A bound of None is no bound.
+    Every integer type passes but bool and numpy's timedelta64; a float
+    does not, even an integral one. A bound of None is no bound.
     """
     # an int, what the library passes itself, is let through first, as in _real
-    if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+    if type(value) is int or _is_number(type(value), numbers.Integral):
         n = int(value)
         if (lo is None or lo <= n) and (hi is None or n < hi):
             return n
@@ -49,12 +55,12 @@ def _integer(value: object, name: str, lo: int | None = None, hi: int | None = N
 def _real(value: object, name: str, lo: float | None = None) -> float:
     """`value` as a finite Python float >= lo, or a ValueError naming `name`.
 
-    Every real type passes but bool; text, Decimal and 0-d arrays do not.
-    A bound of None is no bound.
+    Every real type passes but bool and numpy's times; text, complex,
+    Decimal and 0-d arrays do not. A bound of None is no bound.
     """
     # a float, what the library passes itself, is let through first: the
-    # isinstance test against the ABC costs ~20 times the type test
-    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+    # subclass test against the ABC costs ~20 times the type test
+    if type(value) is float or _is_number(type(value)):
         try:
             x = float(value)
         except OverflowError:  # an int or a Fraction beyond float's range
@@ -120,41 +126,31 @@ def _canonical_angle(radians: float) -> Angle:
     return angle
 
 
-# array kinds numpy makes of text ("45", b"45") and bools, which are not angles
-_NOT_ANGLES = {"U": "str", "S": "bytes", "b": "bool"}
-
-
 def _angle_array(values: object) -> np.ndarray:
-    # the one rule for a list of angles: numbers only, as a 1-D float64 array;
-    # text, bools and None are rejected, whole or as elements at any depth, and
-    # so is a bytearray, which numpy would read as its byte codes; an iterator
-    # is read once
-    if isinstance(values, np.ndarray):
-        array, elements = values, ()
-    elif isinstance(values, bytearray):
-        raise ValueError("filter angles must be numbers, not bytearray")
+    # the one rule for a list of angles, as a 1-D float64 array: each element,
+    # at any depth, passes _is_number, checked once per type, and a numeric
+    # array is checked by its dtype alone; an iterator is read once
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(np.float64, copy=False).ravel()
+    values = list(values) if isinstance(values, Iterator) else values
+    if isinstance(values, (bytes, bytearray, memoryview)):
+        kinds = {type(values)}  # rejected whole: numpy would read the byte codes
+    elif isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        kinds = {values.dtype.type}  # text, bools, complex or times
     else:
-        values = list(values) if isinstance(values, Iterator) else values
-        array = np.asarray(values)
-        # numpy reads [True, 90.0] as [1.0, 90.0], so a list's elements are
-        # checked one by one, and a nested list's innermost ones; a numeric
-        # array is checked by its dtype alone
-        if array.ndim > 1:
-            elements = np.asarray(values, dtype=object).flat
-        else:
-            elements = values if array.ndim else ()
-    kinds = array.dtype.kind
-    if kinds == "O":
-        elements = array.flat
-    types = set(map(type, elements))
-    if type(None) in types:
-        # numpy would read None as nan
-        raise ValueError("filter angles must be numbers, not None")
-    kinds += "".join(sorted({np.dtype(t).kind for t in types}))
-    for kind in kinds:
-        if kind in _NOT_ANGLES:
-            raise ValueError(f"filter angles must be numbers, not {_NOT_ANGLES[kind]}")
-    return array.astype(np.float64, copy=False).ravel()
+        # a flat sequence's types are cheapest read from it; any other value's
+        # (`object` until then) from an object array of its elements at any depth
+        kinds = set(map(type, values)) if isinstance(values, (list, tuple, range)) else {object}
+        if not all(map(_is_number, kinds)):
+            kinds = set(map(type, np.asarray(values, dtype=object).flat))
+    bad = sorted("None" if k is type(None) else k.__name__.rstrip("_")
+                 for k in kinds if not _is_number(k))
+    if bad:
+        raise ValueError(f"filter angles must be numbers, not {bad[0]}")
+    try:
+        return np.asarray(values).astype(np.float64, copy=False).ravel()
+    except OverflowError:  # an int beyond float's range, which _real reads as inf
+        raise ValueError("filter angle must be finite, got an int beyond float's range") from None
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -734,7 +734,8 @@ class TestInputValidation:
 
     def test_integer_fields_reject_non_integers(self):
         for name in ("photons", "seed", "workers"):
-            for value in (10.5, 1.5, True, "3"):
+            # a timedelta64 once escaped as a TypeError, or was read as its count
+            for value in (10.5, 1.5, True, "3", np.timedelta64(3, "s"), np.timedelta64(3, "ns")):
                 with pytest.raises(UsageError, match=f"--{name}"):
                     ExperimentSpec(mode="mc", **{name: value})
             spec = ExperimentSpec(mode="mc", **{name: np.int64(3)})
@@ -778,8 +779,9 @@ class TestInputValidation:
         name, at_least_zero, build = _REAL_SLOTS[slot]
         # text, bools, Decimal and 0-d arrays once passed Angle, ClassicalBeam
         # and PolarizationKet, which read them with float()
+        # numpy registers timedelta64 as an integer type, which read 5 ns as 5
         bad = [True, "0.5", b"1", Decimal("0.5"), np.array(0.5), math.nan, math.inf, -math.inf,
-               10**400]  # the last is beyond float's range
+               10**400, np.timedelta64(5, "ns"), 1 + 0j]  # 10**400 is beyond float's range
         if slot != "ExperimentSpec.input_angle_deg":  # there None is unpolarized input
             bad.append(None)
         if at_least_zero:
@@ -815,10 +817,20 @@ class TestInputValidation:
             # a nested list held [45., 1.], and None was reported as a nan angle
             ("--filters", {"filters_deg": [[45.0, True]]}),
             ("--filters", {"filters_deg": [45.0, None]}),
+            # an int beyond float's range escaped as an OverflowError
+            ("--filters", {"filters_deg": [45.0, 10**400]}),
         ]
         for flag, kwargs in cases:
             with pytest.raises(UsageError, match=f"^{flag}"):
                 ExperimentSpec(mode="compare", **kwargs)
+
+    def test_bad_filters_are_named_by_type_not_value(self):
+        # the message once held the repr of the whole value, every item of it
+        with pytest.raises(UsageError) as raised:
+            ExperimentSpec(mode="compare", filters_deg=["x"] * 100_000)
+        message = str(raised.value)
+        assert message.startswith("--filters: ") and message.endswith("not str")
+        assert len(message) < 200
 
 
 # (flag=value, what stderr names): every one is rejected in every mode
@@ -1076,6 +1088,26 @@ class TestRenderMemory:
         # alone is ~104 bytes here, held as bytes and then as text, so its
         # bound is higher.
         assert peak < (200 if fmt == "tsv" else 240) * BLOCK, peak
+
+    def test_mc_peak_is_one_block(self):
+        # the photons that reached each stage, the `-` mask and both fractions
+        # are made a block of rows at a time too; made for the whole stack,
+        # they held ~25 bytes a stage, a 1.55 MB peak here
+        n = 50_000
+        stack = FilterStack.from_degrees(np.linspace(0.0, 90.0, n + 1)[1:])
+        photons = PhotonInput.pure_ket(angle_from_degrees(0.0))
+        report = run_monte_carlo(MonteCarloConfig(photon_count=1000, seed=3, input=photons,
+                                                  stack=stack))
+        for fmt in ("tsv", "text"):
+            sink = _CountingSink()
+            tracemalloc.start()
+            try:
+                render_trace(report, fmt, sink)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sink.lines == n + (3 if fmt == "tsv" else 2)
+            assert peak < 200 * BLOCK, (fmt, peak)
 
     def test_whole_run_peak_is_bounded_by_the_stack(self, tmp_path):
         # main streams its output, so the peak scales with the stack, not

@@ -1,6 +1,8 @@
 """Unit tests for the single-filter physics primitives and the public API."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,12 +118,28 @@ class TestFilterStack:
             ([1.0, None], "None"),
             ([[1.0, None]], "None"),
             (None, "None"),
+            # numpy read these as numbers: complex values cut to their real
+            # part with only a warning, Decimal and a 0-d array with float(),
+            # a date as its days since 1970 and a time span as its count, and
+            # a memoryview as its byte codes
+            ([1.0, 2 + 1j], "complex"),
+            (np.array([1.0 + 0j]), "complex128"),
+            ([Decimal("45"), 90.0], "Decimal"),
+            ([np.array(45.0), 90.0], "ndarray"),
+            (np.array(["2020-01-01"], dtype="datetime64[D]"), "datetime64"),
+            (np.array([5], dtype="timedelta64[s]"), "timedelta64"),
+            ([np.datetime64("2020-01-01"), 1.0], "datetime64"),
+            ([1.0, np.timedelta64(5, "ns")], "timedelta64"),
+            (memoryview(b"45"), "memoryview"),
         ],
         ids=["str", "bytes", "bytearray", "empty-str", "empty-bytes", "str-list", "str-pair",
              "str-array", "bytes-list", "bool-list", "bool-array", "bool-among-floats",
              "numpy-bool-in-tuple", "str-in-object-array", "bool-in-object-array",
              "bool-in-nested-list", "numpy-bool-in-nested-tuple",
-             "none-among-floats", "none-in-nested-list", "none"],
+             "none-among-floats", "none-in-nested-list", "none",
+             "complex-in-list", "complex-array", "decimal-in-list", "0-d-array-in-list",
+             "datetime64-array", "timedelta64-array", "datetime64-in-list",
+             "timedelta64-in-list", "memoryview"],
     )
     def test_text_is_not_a_list_of_angles(self, text, name):
         # iterating "45" would give the stack 4 and 5 degrees, and b"45" 52
@@ -135,7 +153,13 @@ class TestFilterStack:
         expected = np.radians([0.0, 45.0, 90.0])
         for degrees in ([0, 45, 90], (0.0, 45.0, 90.0), (a for a in [0, 45.0, 90]),
                         range(0, 91, 45), np.array([0, 45, 90]), np.array([0.0, 45.0, 90.0]),
-                        np.array([0.0, 45.0, 90.0], dtype=np.float32)):
+                        np.array([0.0, 45.0, 90.0], dtype=np.float32),
+                        np.array([0.0, 45.0, 90.0], dtype=np.float16),
+                        np.array([0.0, 45.0, 90.0], dtype=np.longdouble),
+                        np.array([0, 45, 90], dtype=np.uint8),
+                        [Fraction(0), Fraction(90, 2), 90],
+                        np.array([0, 45, 90], dtype=object),
+                        [np.int64(0), np.int64(45), np.int64(90)]):
             assert FilterStack.from_degrees(degrees).radians.tolist() == expected.tolist()
         assert FilterStack(x for x in expected).radians.tolist() == expected.tolist()
 

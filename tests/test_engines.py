@@ -809,6 +809,31 @@ class TestStageOneScreen:
             assert screened(u, axis) == expected
 
 
+# every library slot that takes an integer, and a function that fills it
+_INTEGER_SLOTS = {
+    "photon_count": lambda n: MonteCarloConfig(
+        photon_count=n, seed=1, input=PhotonInput.unpolarized(), stack=stack_of(0)),
+    "seed": lambda n: MonteCarloConfig(
+        photon_count=1, seed=n, input=PhotonInput.unpolarized(), stack=stack_of(0)),
+    "workers": lambda n: run_monte_carlo(MonteCarloConfig(
+        photon_count=1, seed=1, input=PhotonInput.unpolarized(), stack=stack_of(0)), workers=n),
+    "n": lambda n: staircase_transmission(n, deg(0), deg(90)),
+    "successes": lambda n: wilson_interval_95(n, 10),
+    "trials": lambda n: wilson_interval_95(1, n),
+}
+
+
+class TestIntegerSlots:
+    @pytest.mark.parametrize("slot", sorted(_INTEGER_SLOTS))
+    def test_every_integer_slot_rejects_numpy_times(self, slot):
+        # numpy registers timedelta64 as an integer type: 3 s once escaped as
+        # a TypeError from int(), and 3 ns was read as 3
+        for value in (np.timedelta64(3, "s"), np.timedelta64(3, "ns")):
+            with pytest.raises(ValueError, match=f"^{slot} must be an integer"):
+                _INTEGER_SLOTS[slot](value)
+        _INTEGER_SLOTS[slot](np.int64(3))
+
+
 class TestWilsonInterval:
     def test_rejects_zero_trials(self):
         bad = [
