@@ -129,8 +129,9 @@ def _canonical_angle(radians: float) -> Angle:
 def _angle_array(values: object) -> np.ndarray:
     # the one rule for a list of angles, as a 1-D float64 array: each element,
     # at any depth, passes _is_number, checked once per type, and a numeric
-    # array is checked by its dtype alone; an iterator is read once
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+    # array is checked by its dtype alone; an iterator is read once. A bare
+    # number, or a 0-d array, is not a list.
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" and values.ndim:
         return values.astype(np.float64, copy=False).ravel()
     values = list(values) if isinstance(values, Iterator) else values
     if isinstance(values, (bytes, bytearray, memoryview)):
@@ -147,8 +148,11 @@ def _angle_array(values: object) -> np.ndarray:
                  for k in kinds if not _is_number(k))
     if bad:
         raise ValueError(f"filter angles must be numbers, not {bad[0]}")
+    array = np.asarray(values)
+    if array.ndim == 0:
+        raise ValueError(f"filter angles must be a list, not {type(values).__name__}")
     try:
-        return np.asarray(values).astype(np.float64, copy=False).ravel()
+        return array.astype(np.float64, copy=False).ravel()
     except OverflowError:  # an int beyond float's range, which _real reads as inf
         raise ValueError("filter angle must be finite, got an int beyond float's range") from None
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -353,13 +352,16 @@ def _first_stage_survivors(
     second its plane angle as a fraction of pi when the input is
     unpolarized. A chunk that starts on an odd photon draws the pair of the
     photon before it too and drops it. `p_first` is the pass probability of
-    a linearly polarized input. The bit generator, the draw and the scratch
-    buffers are made once and reused for every chunk.
+    a linearly polarized input. The bit generator, the draw buffer and, for
+    unpolarized input, the screen's scratch are made once and reused for
+    every chunk.
     """
     n, size = config.photon_count, _CHUNK_SIZE
     rows = min(size, n)
     draws = np.empty((rows + 1, 2))
-    d, near = np.empty(rows, np.float32), np.empty(rows, np.bool_)
+    unpolarized = config.input.is_unpolarized
+    if unpolarized:
+        d, near = np.empty(rows, np.float32), np.empty(rows, np.bool_)
     first_axis = config.stack.radians[0]
     bits = np.random.Philox(key=config.seed)
     generator = np.random.Generator(bits)
@@ -373,7 +375,7 @@ def _first_stage_survivors(
         state["state"]["counter"][0] = start // 2
         bits.state = state
         u = generator.random(out=draws[: count + odd])[odd:]
-        if config.input.is_unpolarized:
+        if unpolarized:
             passed += _screened_passes(u, first_axis, d[:count], near[:count])
         else:
             passed += int(np.count_nonzero(u[:, 0] < p_first))
@@ -395,11 +397,15 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
     photon's block, draws that chain in stage order (numpy's BTPE
     binomial) and stops once no photon is left.
 
-    Memory is O(chunk x workers) and work O(photons + stages). Stage-1
-    counts reduce by integer addition and the chain runs once after, so the
-    report is bit-identical for a fixed config whatever the worker count,
-    chunk size or execution order. At most min(workers, chunks, CPUs)
-    threads run, each summing a strided share of the chunks.
+    Work is O(photons + stages). Each thread holds one chunk of draws, 16
+    bytes a photon for 65 536 photons; unpolarized input adds the float32
+    screen and its mask, 5 bytes a photon more. Stage-1 counts reduce by
+    integer addition and the chain runs once after, so the report is
+    bit-identical for a fixed config whatever the worker count, chunk size
+    or execution order. The chunks are dealt in strides to min(workers,
+    chunks, CPUs this process may run on) shares. The calling thread counts
+    share 0 and one helper thread each other share, so a one-share run
+    starts no thread and does not load the thread pool.
     """
     requested = _integer(workers, "workers", 1)
     n = config.photon_count
@@ -412,13 +418,26 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
     else:
         probs = _born_probabilities(config.input, stack.radians)
         n_chunks = -(-n // _CHUNK_SIZE)
-        threads = _effective_workers(requested, n_chunks, os.cpu_count())
+        # the CPUs this process may run on, by its affinity mask where the OS has one
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count()
+        threads = _effective_workers(requested, n_chunks, cpus)
 
         def share(k: int) -> int:
             return _first_stage_survivors(config, probs[0], k, threads)
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            survivors = sum(pool.map(share, range(threads)))
+        if threads == 1:
+            survivors = share(0)
+        else:
+            # loaded only here: the pool module brings logging and queue along
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+                helpers = pool.map(share, range(1, threads))
+                # map re-raises a helper's exception here
+                survivors = share(0) + sum(helpers)
         binomial = np.random.Generator(
             np.random.Philox(key=config.seed, counter=_CHAIN_COUNTER)
         ).binomial

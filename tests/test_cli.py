@@ -550,6 +550,28 @@ class TestMain:
             assert proc.wait(timeout=60) == 141
             assert proc.stderr.read() == b""
 
+    def test_runs_without_a_helper_thread_load_no_thread_pool(self):
+        # the pool module brings logging, queue and traceback along (~0.6 MB);
+        # only an MC run that starts a helper thread loads it
+        script = """if True:
+            import io, sys
+            import polcascade.cli as cli
+            def loaded(where):
+                print(where, sorted({"concurrent.futures", "logging"} & set(sys.modules)))
+            loaded("import")
+            sys.stdout, out = io.StringIO(), sys.stdout
+            codes = [cli.main(["--filters", "0,45,90", "--mode", "compare"]),
+                     cli.main(["--filters", "0,45,90", "--mode", "mc", "--photons", "200000",
+                               "--workers", "1"])]
+            sys.stdout = out
+            loaded("runs")
+            print(codes)
+        """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=_cli_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "import []\nruns []\n[0, 0]\n"
+
     def test_mc_run_deterministic_output(self, capsys):
         argv = ["--filters", "0,45,90", "--mode", "mc", "--photons", "50000", "--seed", "11"]
         assert main(argv) == 0
@@ -819,6 +841,9 @@ class TestInputValidation:
             ("--filters", {"filters_deg": [45.0, None]}),
             # an int beyond float's range escaped as an OverflowError
             ("--filters", {"filters_deg": [45.0, 10**400]}),
+            # a bare number was held as a one-filter stack
+            ("--filters: filter angles must be a list, not float$", {"filters_deg": 45.0}),
+            ("--filters: filter angles must be a list, not ndarray$", {"filters_deg": np.array(45.0)}),
         ]
         for flag, kwargs in cases:
             with pytest.raises(UsageError, match=f"^{flag}"):

@@ -131,6 +131,14 @@ class TestFilterStack:
             ([np.datetime64("2020-01-01"), 1.0], "datetime64"),
             ([1.0, np.timedelta64(5, "ns")], "timedelta64"),
             (memoryview(b"45"), "memoryview"),
+            # a bare number, or a 0-d array, was read as a one-filter stack
+            (45.0, "float"),
+            (45, "int"),
+            (Fraction(45), "Fraction"),
+            (np.float64(45.0), "float64"),
+            (np.array(45.0), "ndarray"),
+            (np.array(45), "ndarray"),
+            (np.array(45.0, dtype=object), "ndarray"),
         ],
         ids=["str", "bytes", "bytearray", "empty-str", "empty-bytes", "str-list", "str-pair",
              "str-array", "bytes-list", "bool-list", "bool-array", "bool-among-floats",
@@ -139,7 +147,8 @@ class TestFilterStack:
              "none-among-floats", "none-in-nested-list", "none",
              "complex-in-list", "complex-array", "decimal-in-list", "0-d-array-in-list",
              "datetime64-array", "timedelta64-array", "datetime64-in-list",
-             "timedelta64-in-list", "memoryview"],
+             "timedelta64-in-list", "memoryview", "float", "int", "fraction",
+             "numpy-float", "0-d-array", "0-d-int-array", "0-d-object-array"],
     )
     def test_text_is_not_a_list_of_angles(self, text, name):
         # iterating "45" would give the stack 4 and 5 degrees, and b"45" 52
@@ -162,6 +171,9 @@ class TestFilterStack:
                         [np.int64(0), np.int64(45), np.int64(90)]):
             assert FilterStack.from_degrees(degrees).radians.tolist() == expected.tolist()
         assert FilterStack(x for x in expected).radians.tolist() == expected.tolist()
+        # a list of one number is a one-filter stack
+        for degrees in ([45.0], (45,), np.array([45.0]), [[45.0]]):
+            assert FilterStack.from_degrees(degrees).radians.tolist() == [math.radians(45.0)]
 
     def test_compares_and_hashes_by_value(self):
         stack = FilterStack.from_degrees([0, 45, 90])

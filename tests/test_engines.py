@@ -1,6 +1,8 @@
 """Tests for the whole-stack engines and their mutual consistency."""
 
+import concurrent.futures
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -523,7 +525,7 @@ class TestMonteCarlo:
 
     def test_pool_gets_capped_workers(self, monkeypatch):
         # an inline stand-in for the thread pool: no thread is started
-        requested = []
+        requested, shares = [], []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -538,6 +540,10 @@ class TestMonteCarlo:
             def map(self, fn, items):
                 return map(fn, items)
 
+        def recorded(config, p_first, first_chunk, stride):
+            shares.append((first_chunk, stride))
+            return count(config, p_first, first_chunk, stride)
+
         config = MonteCarloConfig(
             photon_count=10 * engines._CHUNK_SIZE + 1,
             seed=99,
@@ -545,10 +551,64 @@ class TestMonteCarlo:
             stack=stack_of(10, 40),
         )
         expected = run_monte_carlo(config)
-        monkeypatch.setattr(engines, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setattr(engines.os, "cpu_count", lambda: 3)
+        count = engines._first_stage_survivors
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(engines, "_first_stage_survivors", recorded)
+        monkeypatch.setattr(engines.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert run_monte_carlo(config, workers=100_000) == expected
-        assert requested == [3]
+        # min(workers, chunks, CPUs) = 3 shares: the caller's and 2 helpers'
+        assert requested == [2]
+        assert sorted(shares) == [(0, 3), (1, 3), (2, 3)]
+
+    def test_one_share_starts_no_thread(self, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a one-share run started a thread")
+
+        config = MonteCarloConfig(
+            photon_count=3 * engines._CHUNK_SIZE + 1,
+            seed=5,
+            input=PhotonInput.unpolarized(),
+            stack=stack_of(10, 40),
+        )
+        two_shares = run_monte_carlo(config, workers=2)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert run_monte_carlo(config) == two_shares
+
+    def test_threads_are_capped_by_the_cpus_this_process_may_use(self, monkeypatch):
+        # under a one-CPU affinity mask, --workers 8 runs on the calling thread
+        def no_thread(self):
+            raise AssertionError("a thread started on a one-CPU affinity mask")
+
+        config = MonteCarloConfig(
+            photon_count=300_000,
+            seed=2718281828,
+            input=PhotonInput.pure_ket(angle_from_degrees(25)),
+            stack=stack_of(10, 40, 70, 100),
+        )
+        expected = run_monte_carlo(config, workers=8)
+        monkeypatch.setattr(engines.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(engines.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert run_monte_carlo(config, workers=8) == expected
+
+    def test_a_helper_share_error_reaches_the_caller(self, monkeypatch):
+        count = engines._first_stage_survivors
+
+        def failing(config, p_first, first_chunk, stride):
+            if first_chunk == 1:
+                raise RuntimeError("helper share failed")
+            return count(config, p_first, first_chunk, stride)
+
+        config = MonteCarloConfig(
+            photon_count=4 * engines._CHUNK_SIZE,
+            seed=8,
+            input=PhotonInput.unpolarized(),
+            stack=stack_of(10, 40),
+        )
+        monkeypatch.setattr(engines, "_first_stage_survivors", failing)
+        monkeypatch.setattr(engines.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(RuntimeError, match="^helper share failed$"):
+            run_monte_carlo(config, workers=2)
 
     def test_stage_survival_is_binomial_over_many_seeds(self):
         # given the count before it, each stage's count is Binomial(count, p_j):
