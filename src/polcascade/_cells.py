@@ -1,15 +1,18 @@
-"""Table cells as ASCII bytes, many at once: a vectorized `%.12g`.
+"""Table rows as ASCII text, a block of rows at a time: a vectorized `%.12g`.
 
 The CLI writes every number with 12 significant digits, exactly as
-Python's `format(x, ".12g")` does. :func:`float_cells` and
+Python's `format(x, ".12g")` does. :func:`text_rows` lays out a block of
+rows, each row a list of literal text and columns, in one byte buffer:
+the literal text and a fixed-width slot per cell, filled one column at a
+time, with NUL bytes where a cell is shorter than its slot; the NULs are
+dropped and the bytes decoded once. :func:`float_cells` and
 :func:`int_cells` make the cells of a whole column in a fixed number of
-numpy calls, each cell a row of bytes in a fixed-width slot with NUL
-bytes where nothing goes; the writer drops the NULs when it joins a block
-of rows. A float cell takes its decimal exponent from `frexp` and a table
-by binary exponent, so subnormals need no other path, and its 16-digit
-string from int64 arithmetic and tables of 4-digit groups. :func:`num`
-formats one number, and the few float cells the numpy path cannot prove
-exact. A float cell has at most 19 bytes ("-1.23456789012e-100").
+numpy calls. A float cell takes its decimal exponent from `frexp` and a
+table by binary exponent, so subnormals need no other path, and its
+16-digit string from int64 arithmetic and tables of 4-digit groups.
+:func:`num` formats one number, and the few float cells the numpy path
+cannot prove exact. A float cell has at most 19 bytes
+("-1.23456789012e-100").
 """
 
 from __future__ import annotations
@@ -233,3 +236,42 @@ def int_cells(v: np.ndarray) -> np.ndarray:
         keep = np.where(np.arange(width) >= np.arange(width)[:, None], 255, 0).astype(np.uint8)
         cells &= keep.take(lead, axis=0)
     return cells
+
+
+def text_rows(row: list, lo: int, hi: int) -> str:
+    """Rows lo..hi of a table as text, each row the items of `row` in order.
+
+    An item is literal text (a str) or a column: a 1-D array of float64 or
+    non-negative int64, a function of rows (lo, hi) giving their block of
+    one, or a (column, missing) pair that reads "-" where `missing(lo, hi)`
+    is set.
+    """
+    # each item as its literal bytes, or as its block of values and "-" mask
+    parts, widths = [], []
+    for item in row:
+        if isinstance(item, str):
+            parts.append(item.encode("ascii"))
+            widths.append(len(parts[-1]))
+            continue
+        values, missing = item if isinstance(item, tuple) else (item, None)
+        block = values(lo, hi) if callable(values) else values[lo:hi]
+        parts.append((block, None if missing is None else missing(lo, hi)))
+        widths.append(FLOAT_WIDTH if block.dtype.kind == "f" else len(str(int(block.max()))))
+    buffer = bytearray((hi - lo) * sum(widths))
+    cells = np.frombuffer(buffer, np.uint8).reshape(hi - lo, -1)
+    at = 0
+    for width in widths:
+        # popped, so that a column's values are let go once its cells are laid out
+        part = parts.pop(0)
+        if isinstance(part, bytes):
+            cells[:, at:at + width] = np.frombuffer(part, np.uint8)
+        else:
+            block, missing = part
+            cells[:, at:at + width] = (float_cells if block.dtype.kind == "f" else int_cells)(block)
+            if missing is not None:
+                cells[missing, at:at + width] = 0
+                cells[missing, at] = ord("-")
+        at += width
+    text = buffer.translate(None, b"\0")
+    del cells, buffer
+    return text.decode("ascii")

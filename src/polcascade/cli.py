@@ -8,24 +8,26 @@ quietly, when the reader closes stdout before the output ends.
 
 Each result kind only builds a table (stack, TSV columns and footer, text
 heading, cells and summary); one writer lays every table out in either
-format, so the row layouts and number formatting live in one place. The
-writer makes the output one block of 2048 rows at a time: each row is laid
-out in one byte buffer, the literal text and a fixed-width slot per cell,
-one column at a time; the NULs that pad the slots are dropped and the
-bytes decoded once. A numpy formatter gives every cell exactly the bytes
-of Python's 12-significant-digit `format(x, ".12g")`, subnormals
-included, and only the cells it cannot prove exact (near a rounding tie,
-negative, nan or inf) go through `format` itself. The renderers and
-:func:`run_experiment` write each block to the text stream they are given
-as it is made, and :func:`main` passes stdout, so a run holds one block of
-output, never all of it. The stack travels as float64 arrays, from
+format as one row of literal text and columns, so the row layouts live in
+one place. It makes the output one block of 2048 rows at a time, each
+block laid out by `_cells.text_rows`, which gives every number exactly the
+bytes of Python's 12-significant-digit `format(x, ".12g")`. The renderers
+and :func:`run_experiment` write each block to the text stream they are
+given as it is made, and :func:`main` passes stdout, so a run holds one
+block of output, never all of it. The stack travels as float64 arrays, from
 :func:`parse_stack_text` through :class:`ExperimentSpec` to the engines;
 :func:`parse_spec` lets the stack file's text go before the spec is built.
 """
 
 from __future__ import annotations
 
+# first, before argparse loads: compiled from source (no cached bytecode),
+# _cells then reuses the heap room that compiling this module has just
+# freed, which keeps a CLI run's peak RSS ~0.07 MB lower
+from ._cells import num as _num, text_rows
+
 import argparse
+import math
 import os
 import sys
 from collections.abc import Iterator
@@ -35,7 +37,6 @@ from typing import TextIO
 
 import numpy as np
 
-from ._cells import FLOAT_WIDTH, float_cells, int_cells, num as _num
 from .core import Angle, ClassicalBeam, FilterStack, angle_from_degrees
 from .core import _ByValue, _angle_array, _integer, _real
 from .engines import (
@@ -123,18 +124,15 @@ class ExperimentSpec(_ByValue):
                 angle = _real(self.input_angle_deg, "--input")
                 object.__setattr__(self, "input_angle_deg", angle)
                 object.__setattr__(self, "input_angle", angle_from_degrees(angle))
-            # stricter than ClassicalBeam: a dark beam has no transmitted fraction to report
-            try:
-                intensity = _real(self.intensity, "--intensity", 0)
-            except ValueError:
-                intensity = 0.0
-            if intensity == 0.0:
-                raise ValueError(f"--intensity must be a finite real > 0, got {self.intensity!r}")
+            # stricter than ClassicalBeam: a dark beam has no transmitted fraction
+            # to report, and a subnormal one loses digits in the fold
+            intensity = _real(self.intensity, "--intensity", sys.float_info.min)
             object.__setattr__(self, "intensity", intensity)
             object.__setattr__(self, "photons", _integer(self.photons, "--photons", *photon_range))
             object.__setattr__(self, "seed", _integer(self.seed, "--seed", *_SEEDS))
             object.__setattr__(self, "workers", _integer(self.workers, "--workers", 1))
-            object.__setattr__(self, "tolerance", _real(self.tolerance, "--tolerance", 0))
+            # + 0.0 turns -0.0 into 0.0, so the footer never reads "tolerance=-0"
+            object.__setattr__(self, "tolerance", _real(self.tolerance, "--tolerance", 0) + 0.0)
             object.__setattr__(self, "stack", FilterStack.from_degrees(filters))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
@@ -232,48 +230,46 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _pieces(text: str) -> Iterator[str]:
-    # cut just after a "\n", which always ends a line for str.splitlines, so
-    # the pieces split into the lines of the whole text
+def _code_lines(text: str) -> Iterator[list[str]]:
+    # the lines of `text`, each cut at its first `#`, one piece's list at a
+    # time; a piece ends just after a "\n", which always ends a line for
+    # str.splitlines, so the pieces split into the lines of the whole text.
+    # Neither a piece nor its lines is bound to a name here, so each is let
+    # go before the next piece is split.
     start = 0
     while start < len(text):
         end = text.find("\n", start + _PARSE_CHARS) + 1 or len(text)
-        yield text[start:end]
+        if text.find("#", start, end) < 0:
+            yield text[start:end].splitlines()
+        else:
+            yield [line.split("#", 1)[0] for line in text[start:end].splitlines()]
         start = end
-
-
-def _uncommented_lines(piece: str) -> list[str]:
-    return [line.split("#", 1)[0] for line in piece.splitlines()]
-
-
-def _code_lines(text: str) -> Iterator[str]:
-    # the lines of `text`, split one piece at a time; if the text has a `#`,
-    # each line is cut at its first one
-    split = _uncommented_lines if "#" in text else str.splitlines
-    return chain.from_iterable(map(split, _pieces(text)))
 
 
 def parse_stack_text(text: str, source: str = "stack file") -> np.ndarray:
     """Parse stack-file text, one angle in degrees per line, to a float64 array.
 
     `#` begins a comment and blank lines are ignored. Each angle is read
-    with `float()`. The text is split into lines one piece at a time, so
-    only one piece's line strings are alive at once.
+    with `float()` and must be finite. The text is split into lines one
+    piece at a time, so only one piece's line strings are alive at once.
     """
     try:
         # float() strips the same whitespace as str.strip()
-        return np.fromiter(map(float, filter(str.strip, _code_lines(text))), np.float64)
+        lines = chain.from_iterable(_code_lines(text))
+        angles = np.fromiter(map(float, filter(str.strip, lines)), np.float64)
+        if np.isfinite(angles).all():
+            return angles
     except ValueError:
-        # scan again only to name the first bad line
-        for lineno, line in enumerate(map(str.strip, _code_lines(text)), start=1):
-            try:
-                if line:
-                    float(line)
-            except ValueError:
-                raise UsageError(
-                    f"{source} line {lineno}: not an angle in degrees: {line!r}"
-                ) from None
-        raise
+        pass
+    # scan again only to name the first line that is not a finite angle
+    for lineno, line in enumerate(map(str.strip, chain.from_iterable(_code_lines(text))), start=1):
+        try:
+            if not line or math.isfinite(float(line)):
+                continue
+        except ValueError:
+            pass
+        raise UsageError(f"{source} line {lineno}: not an angle in degrees: {line!r}")
+    raise AssertionError("a line failed the first scan but not the second")
 
 
 def parse_spec(argv: list[str] | None) -> ExperimentSpec:
@@ -295,52 +291,15 @@ def parse_spec(argv: list[str] | None) -> ExperimentSpec:
     return ExperimentSpec(**args)
 
 
-def _block(pieces: list[np.ndarray], columns: list, lo: int, hi: int) -> str:
-    # rows lo..hi: pieces[0], a cell of columns[0], pieces[1], ..., pieces[-1],
-    # where a column that is a function is called for those rows' values and
-    # a (values, missing) pair reads "-" where `missing(lo, hi)` is set. The rows
-    # are laid out in one buffer, a fixed-width slot per cell, one column at a
-    # time; the NULs that pad the slots are dropped before it is decoded.
-    slots = []
-    for column in columns:
-        values, missing = column if isinstance(column, tuple) else (column, None)
-        block = values(lo, hi) if callable(values) else values[lo:hi]
-        width = FLOAT_WIDTH if block.dtype.kind == "f" else len(str(int(block.max())))
-        slots.append((block, None if missing is None else missing(lo, hi), width))
-    buffer = bytearray((hi - lo) * (sum(map(len, pieces)) + sum(w for *_, w in slots)))
-    rows = np.frombuffer(buffer, np.uint8).reshape(hi - lo, -1)
-    at = 0
-    for piece in pieces:
-        rows[:, at:at + len(piece)] = piece
-        at += len(piece)
-        if slots:
-            # popped, so that a column's values are let go once its cells are laid out
-            block, missing, width = slots.pop(0)
-            cells = float_cells if block.dtype.kind == "f" else int_cells
-            rows[:, at:at + width] = cells(block)
-            if missing is not None:
-                rows[missing, at:at + width] = 0
-                rows[missing, at] = ord("-")
-            at += width
-    text = buffer.translate(None, b"\0")
-    del rows, buffer
-    return text.decode("ascii")
-
-
-def _stages(lo: int, hi: int) -> np.ndarray:
-    # the column of stage numbers, 1 to n, in a row layout
-    return np.arange(lo + 1, hi + 1)
-
-
 @dataclass(frozen=True, slots=True)
 class _Table:
     """One result, one row per filter; :func:`_write` lays it out.
 
     `tsv_columns` fill the three value columns (`None` is a column of `-`);
-    `text_cells` are a template and the columns that fill its `%s` fields
-    in order, such as ``("intensity %s", column)``. A column is a 1-D array
-    of float64 or non-negative int64, a function of rows (lo, hi) giving their
-    block of one, or a (values, missing) pair, `-` where `missing(lo, hi)` is set.
+    each of `text_cells` is a list of literal text and columns in row order,
+    such as ``("intensity ", column)`` or
+    ``(counts, " of ", before, " photons passed")``; a column is any that
+    :func:`text_rows` takes.
     """
 
     stack: FilterStack
@@ -355,45 +314,35 @@ def _write(table: _Table, output_format: str) -> Iterator[str]:
     """Lay a table out as TSV or text; only here are the row layouts known.
 
     Yields the header, each block of rows and the footer, every one ending
-    in a newline. A row is literal text around its cells, the stage number
-    first; each block of rows is made in one byte buffer, so only one
-    block of cells is alive at once. The axes are turned into degrees one
-    block at a time too, so no whole-stack column is added.
+    in a newline. A row is its stage number, its axis and its cells, and
+    each block of rows is laid out by :func:`text_rows`, so only one block
+    of cells is alive at once. The axes are turned into degrees one block
+    at a time too, so no whole-stack column is added.
     """
     if output_format not in _FORMATS:
         raise ValueError(f"unknown format {output_format!r}")
+
+    def stages(lo: int, hi: int) -> np.ndarray:
+        return np.arange(lo + 1, hi + 1)
 
     def axes(lo: int, hi: int) -> np.ndarray:
         return np.degrees(table.stack.radians[lo:hi])
 
     if output_format == "tsv":
         head, foot = _TSV_HEADER, table.tsv_footer
-        items = ["", _stages, "\t", axes]
+        row = [stages, "\t", axes]
         for column in table.tsv_columns:
-            items += ["\t", "-" if column is None else column]
-        items.append("\n")
+            row += ["\t", "-" if column is None else column]
     else:
         head, foot = table.heading, [table.summary]
-        items = ["  stage ", _stages, ": axis ", axes, " deg"]
-        for template, *columns in table.text_cells:
-            parts = template.split("%s")
-            items.append(", " + parts[0])
-            for column, part in zip(columns, parts[1:]):
-                items += [column, part]
-        items.append("\n")
-    # the literal text between the columns
-    pieces, columns = [""], []
-    for item in items:
-        if isinstance(item, str):
-            pieces[-1] += item
-        else:
-            columns.append(item)
-            pieces.append("")
-    pieces = [np.frombuffer(p.encode("ascii"), np.uint8) for p in pieces]
+        row = ["  stage ", stages, ": axis ", axes, " deg"]
+        for cell in table.text_cells:
+            row += [", ", *cell]
+    row.append("\n")
     yield head + "\n"
     n = len(table.stack)
     for lo in range(0, n, _BLOCK_ROWS):
-        yield _block(pieces, columns, lo, min(lo + _BLOCK_ROWS, n))
+        yield text_rows(row, lo, min(lo + _BLOCK_ROWS, n))
     for line in foot:
         yield line + "\n"
 
@@ -413,14 +362,14 @@ def render_trace(
 def _cascade_table(trace: CascadeTrace) -> _Table:
     columns = (trace.classical_intensity_after, trace.stage_pass_probability,
                trace.cumulative_probability)
-    templates = ("intensity %s", "pass prob %s", "cumulative %s")
+    labels = ("intensity ", "pass prob ", "cumulative ")
     final = _num(trace.final_transmitted_fraction)
     return _Table(
         stack=trace.stack,
         tsv_columns=columns,
         tsv_footer=[f"# final_fraction={final}"],
         heading=_describe_input(trace.input_description),
-        text_cells=[(t, c) for t, c in zip(templates, columns) if c is not None],
+        text_cells=[(label, c) for label, c in zip(labels, columns) if c is not None],
         summary=f"transmitted fraction: {final}",
     )
 
@@ -449,7 +398,7 @@ def _mc_table(report: MonteCarloReport) -> _Table:
             f"# estimate={estimate} stderr={stderr} ci95={lo},{hi} seed={report.seed}",
         ],
         heading=_describe_input(report.config.input) + f", {n} photons, seed {report.seed}",
-        text_cells=[("%s of %s photons passed", counts, before)],
+        text_cells=[(counts, " of ", before, " photons passed")],
         summary=f"transmitted fraction: {estimate} (stderr {stderr}, 95% CI [{lo}, {hi}])",
     )
 
@@ -477,7 +426,7 @@ def render_comparison(
             f"# compare={verdict} max_diff={max_diff} tolerance={tolerance}",
         ],
         heading=_describe_input(classical.input_description),
-        text_cells=[("intensity %s", intensity), ("cumulative prob %s", cumulative)],
+        text_cells=[("intensity ", intensity), ("cumulative prob ", cumulative)],
         summary=f"classical fraction {final} vs quantum probability {quantum_final}: "
         f"{verdict} (max diff {max_diff}, tolerance {tolerance})",
     )

@@ -219,6 +219,17 @@ class TestStackFile:
     def test_line_forms(self, text, expected):
         assert tuple(parse_stack_text(text).tolist()) == expected
 
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_angle_names_its_file_and_line(self, tmp_path, capsys, angle):
+        # float() reads each of these; the stack once rejected it later,
+        # naming neither the file nor the line
+        path = tmp_path / "walk.txt"
+        path.write_text(f"0\n  {angle}  # typo\n45\n")
+        assert main(["--stack-file", str(path), "--mode", "compare"]) == 2
+        assert capsys.readouterr().err == (
+            f"polcascade: error: {path} line 2: not an angle in degrees: {angle!r}\n"
+        )
+
     def test_bad_line_deep_in_long_file_is_located(self):
         lines = [f"{i * 0.25}" for i in range(10_000)]
         lines[8_999] = "  9x  # typo"
@@ -338,9 +349,9 @@ def _parse_line_by_line(text):
             try:
                 angles.append(float(line))
             except ValueError:
-                raise UsageError(
-                    f"stack file line {lineno}: not an angle in degrees: {line!r}"
-                ) from None
+                angles.append(math.nan)
+            if not math.isfinite(angles[-1]):
+                raise UsageError(f"stack file line {lineno}: not an angle in degrees: {line!r}")
     return tuple(angles)
 
 
@@ -594,6 +605,16 @@ class TestComparisonRendering:
         assert lines[4] == "# final_fraction=0.125"
         assert lines[5].startswith("# compare=pass")
 
+    @pytest.mark.parametrize(
+        "fmt,end", [("tsv", " tolerance=0\n"), ("text", ", tolerance 0)\n")], ids=["tsv", "text"]
+    )
+    def test_negative_zero_tolerance_reads_zero(self, capsys, fmt, end):
+        # -0.0 passes the >= 0 rule; the footer once read "tolerance=-0"
+        assert math.copysign(1.0, ExperimentSpec(mode="compare", tolerance=-0.0).tolerance) == 1.0
+        argv = ["--filters", "0,45,90", "--mode", "compare", "--tolerance=-0.0", "--format", fmt]
+        assert main(argv) == 1  # max_diff is 5.55e-17
+        assert capsys.readouterr().out.endswith(end)
+
 
 TSV_HEADER = "stage\taxis_deg\tclassical_intensity\tstage_prob\tcumulative_prob\n"
 
@@ -779,6 +800,15 @@ class TestInputValidation:
         assert (spec == spec.filters_deg) is False
         assert (spec != spec.filters_deg) is True
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("mode", "qubit", "unknown mode 'qubit'"), ("output_format", "json", "unknown format 'json'")],
+    )
+    def test_unknown_choice_named(self, field, value, message):
+        kwargs = {"mode": "compare", field: value}
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(**kwargs)
+
     def test_first_non_finite_angle_named(self):
         with pytest.raises(UsageError, match="finite, got -inf$"):
             ExperimentSpec(mode="classical", filters_deg=(0.0, -np.inf, np.nan))
@@ -863,7 +893,9 @@ _BAD_VALUES = [
     *(("--seed=" + v, "--seed") for v in ("-1", str(2**64))),
     *(("--workers=" + v, "--workers") for v in ("0", "-2")),
     *(("--tolerance=" + v, "--tolerance") for v in ("nan", "inf", "-1", "1e400")),
-    *(("--intensity=" + v, "--intensity") for v in ("0", "nan", "inf", "-1", "1e-400")),
+    # a subnormal intensity once passed, and the classical fold underflowed
+    *(("--intensity=" + v, "--intensity") for v in ("0", "nan", "inf", "-1", "1e-400", "5e-324",
+                                                     "1e-320")),
     *(("--filters=" + v, "filter angle") for v in ("0,inf", "nan,45", "0,-inf")),
     *(("--input=linear:" + v, "--input") for v in ("inf", "nan", "")),
 ]

@@ -1,6 +1,7 @@
 """Tests for the whole-stack engines and their mutual consistency."""
 
 import concurrent.futures
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -335,6 +336,29 @@ class TestCompare:
         quantum = run_quantum_exact(PhotonInput.unpolarized(), stack)
         with pytest.raises(ComparisonDomainError):
             compare(quantum, quantum, 1e-9)
+
+    def test_classical_trace_second_rejected(self):
+        classical = run_classical(ClassicalBeam.unpolarized(1.0), stack_of(45))
+        with pytest.raises(ComparisonDomainError, match="^second trace must come from the quantum engine$"):
+            compare(classical, classical, 1e-9)
+
+    @pytest.mark.parametrize(
+        "column,message",
+        [
+            ("classical_intensity_after", "classical trace is missing stage intensities"),
+            ("cumulative_probability", "quantum trace is missing stage probabilities"),
+        ],
+    )
+    def test_trace_missing_its_column_rejected(self, column, message):
+        stack = stack_of(0, 45)
+        traces = {
+            "classical_intensity_after": run_classical(ClassicalBeam.unpolarized(1.0), stack),
+            "cumulative_probability": run_quantum_exact(PhotonInput.unpolarized(), stack),
+        }
+        traces[column] = dataclasses.replace(traces[column], **{column: None})
+        classical, quantum = traces.values()
+        with pytest.raises(ComparisonDomainError, match=f"^{message}$"):
+            compare(classical, quantum, 1e-9)
 
     @pytest.mark.parametrize("tolerance", [math.nan, -1e-9, math.inf])
     def test_invalid_tolerance_rejected(self, tolerance):
