@@ -282,7 +282,7 @@ def parse_spec(argv: list[str] | None) -> ExperimentSpec:
     if "filters_deg" not in args and stack_file is not None:
         try:
             with open(stack_file, encoding="utf-8") as fh:
-                text = fh.read()
+                text = fh.read().removeprefix("\ufeff")
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"--stack-file: cannot read {stack_file!r}: {exc}") from None
         args["filters_deg"] = parse_stack_text(text, source=stack_file)

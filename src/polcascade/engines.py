@@ -13,8 +13,8 @@ match, bit for bit, a loop over the single-filter functions in
   axis, then pass the later filters as a chain of binomial draws with the
   same Born-rule stage probabilities. An unpolarized photon's stage-1 test
   is screened in float32 and near-ties are decided in float64, so every
-  decision is the float64 one. Results are bit-identical for a fixed seed
-  no matter how the photons are partitioned across workers.
+  decision is the float64 one. Each worker reads one contiguous run of
+  photons in stream order: a seed gives the same bits at any worker count.
 
 A :class:`CascadeTrace` holds one array per column an engine produces; its
 `stages` are a per-row view. :func:`compare` reconciles the classical
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,8 +39,8 @@ from .core import _ByValue, _integer, _real
 # Two-sided 95% normal quantile, used by the Wilson score interval.
 _Z95 = 1.959963984540054
 
-# Photons per work unit; stage-1 counts reduce by integer addition, so any
-# partitioning yields identical results.
+# Photons a share draws at a time: it bounds the draw buffer. A share reads
+# its draws in stream order, so the size does not change a count.
 _CHUNK_SIZE = 1 << 16
 
 # Margin of the float32 screen of the unpolarized stage-1 test. The screen's
@@ -201,8 +202,11 @@ def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
 
     Records the intensity after each stage. The final transmitted fraction
     is final intensity over input intensity (0 for a dark input beam); an
-    empty stack transmits unchanged with fraction 1.
+    empty stack transmits unchanged with fraction 1. A subnormal input
+    intensity is a ValueError: dividing by it loses the fraction's digits.
     """
+    if input.intensity:  # a dark beam (0) has fraction 0; any other must be normal
+        _real(input.intensity, "intensity", sys.float_info.min)
     axes = stack.radians
     # one array, filled in place: the input intensity, then each stage's
     # factor (1/2 for unpolarized light at the first filter, else the cos^2
@@ -342,39 +346,27 @@ def _screened_passes(u: np.ndarray, axis: float, d: np.ndarray, near: np.ndarray
     return passed + int(np.count_nonzero(_passes_first(u[ties, 0], u[ties, 1], axis)))
 
 
-def _first_stage_survivors(
-    config: MonteCarloConfig, p_first: float, first_chunk: int, stride: int
-) -> int:
-    """Photons passing filter 1 in chunks first_chunk, first_chunk + stride, ...
+def _first_stage_survivors(config: MonteCarloConfig, p_first: float, lo: int, hi: int) -> int:
+    """Photons lo, lo + 1, ..., hi - 1 passing filter 1.
 
     Photon i owns doubles [2i, 2i + 2) of the Philox stream keyed by the
     seed, which is counter block i // 2: the first is its pass draw, the
     second its plane angle as a fraction of pi when the input is
-    unpolarized. A chunk that starts on an odd photon draws the pair of the
-    photon before it too and drops it. `p_first` is the pass probability of
-    a linearly polarized input. The bit generator, the draw buffer and, for
-    unpolarized input, the screen's scratch are made once and reused for
-    every chunk.
+    unpolarized. `lo` is even, so the share starts at block lo // 2 and
+    reads on in order, a chunk at a time into one buffer. `p_first` is the
+    pass probability of a linearly polarized input.
     """
-    n, size = config.photon_count, _CHUNK_SIZE
-    rows = min(size, n)
-    draws = np.empty((rows + 1, 2))
+    rows = min(_CHUNK_SIZE, hi - lo)
+    draws = np.empty((rows, 2))
     unpolarized = config.input.is_unpolarized
     if unpolarized:
         d, near = np.empty(rows, np.float32), np.empty(rows, np.bool_)
     first_axis = config.stack.radians[0]
-    bits = np.random.Philox(key=config.seed)
-    generator = np.random.Generator(bits)
-    # a new stream's state, with an empty buffer (buffer_pos 4); setting it
-    # with counter [c, 0, 0, 0] gives the stream Philox(key, counter) starts
-    state = bits.state
-    state["buffer_pos"] = 4
+    generator = np.random.Generator(np.random.Philox(key=config.seed, counter=lo // 2))
     passed = 0
-    for start in range(first_chunk * size, n, stride * size):
-        count, odd = min(size, n - start), start % 2
-        state["state"]["counter"][0] = start // 2
-        bits.state = state
-        u = generator.random(out=draws[: count + odd])[odd:]
+    for start in range(lo, hi, _CHUNK_SIZE):
+        count = min(_CHUNK_SIZE, hi - start)
+        u = generator.random(out=draws[:count])
         if unpolarized:
             passed += _screened_passes(u, first_axis, d[:count], near[:count])
         else:
@@ -399,13 +391,14 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
 
     Work is O(photons + stages). Each thread holds one chunk of draws, 16
     bytes a photon for 65 536 photons; unpolarized input adds the float32
-    screen and its mask, 5 bytes a photon more. Stage-1 counts reduce by
-    integer addition and the chain runs once after, so the report is
-    bit-identical for a fixed config whatever the worker count, chunk size
-    or execution order. The chunks are dealt in strides to min(workers,
-    chunks, CPUs this process may run on) shares. The calling thread counts
-    share 0 and one helper thread each other share, so a one-share run
-    starts no thread and does not load the thread pool.
+    screen and its mask, 5 bytes a photon more. The photons are split into
+    min(workers, chunks, CPUs this process may run on) contiguous shares,
+    each starting on an even photon, and a share reads its own run of the
+    stream in order. Stage-1 counts reduce by integer addition and the
+    chain runs once after, so the report is bit-identical for a fixed
+    config whatever the worker count, chunk size or execution order. The
+    calling thread counts share 0 and one helper thread each other share,
+    so a one-share run starts no thread and does not load the thread pool.
     """
     requested = _integer(workers, "workers", 1)
     n = config.photon_count
@@ -424,9 +417,12 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
         else:
             cpus = os.cpu_count()
         threads = _effective_workers(requested, n_chunks, cpus)
+        # share k reads photons [edges[k], edges[k + 1]), starting on a block of 2 photons
+        blocks = -(-n // 2)
+        edges = [min(n, 2 * (blocks * k // threads)) for k in range(threads + 1)]
 
         def share(k: int) -> int:
-            return _first_stage_survivors(config, probs[0], k, threads)
+            return _first_stage_survivors(config, probs[0], edges[k], edges[k + 1])
 
         if threads == 1:
             survivors = share(0)

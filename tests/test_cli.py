@@ -205,6 +205,17 @@ class TestStackFile:
         spec = parse_spec(["--stack-file", str(path), "--mode", "classical"])
         assert tuple(spec.filters_deg.tolist()) == (0.0, 45.0, 90.0)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # Windows editors start UTF-8 files with one
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(b"0\r\n45\r\n90\r\n")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for path in (plain, bom):
+            assert main(["--stack-file", str(path), "--mode", "compare"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0] and outputs[0].err == ""
+
     @pytest.mark.parametrize(
         "text,expected",
         [

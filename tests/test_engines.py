@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -71,6 +72,17 @@ class TestRunClassical:
     def test_dark_input_has_zero_fraction(self):
         trace = run_classical(ClassicalBeam.unpolarized(0.0), stack_of(0, 45))
         assert trace.final_transmitted_fraction == 0.0
+
+    @pytest.mark.parametrize("intensity", [5e-324, 1e-320])
+    def test_subnormal_input_is_rejected(self, intensity):
+        # its fraction would lose digits, or underflow to 0
+        with pytest.raises(ValueError, match="^intensity must be"):
+            run_classical(ClassicalBeam.unpolarized(intensity), stack_of(0, 30))
+
+    @pytest.mark.parametrize("intensity", [0.0, sys.float_info.min])
+    def test_dark_and_smallest_normal_input_run(self, intensity):
+        trace = run_classical(ClassicalBeam.unpolarized(intensity), stack_of(0, 30))
+        assert trace.final_transmitted_fraction == (0.375 if intensity else 0.0)
 
     def test_intensity_non_increasing(self):
         rng = np.random.default_rng(7)
@@ -523,7 +535,7 @@ class TestMonteCarlo:
         )
         assert run_monte_carlo(config, workers=workers) == run_monte_carlo(config)
 
-    @pytest.mark.parametrize("chunk", [7, 1000])
+    @pytest.mark.parametrize("chunk", [4097, 1000])
     @pytest.mark.parametrize(
         "photon_input",
         [PhotonInput.unpolarized(), PhotonInput.pure_ket(angle_from_degrees(25))],
@@ -540,6 +552,31 @@ class TestMonteCarlo:
         monkeypatch.setattr(engines, "_CHUNK_SIZE", chunk)
         for workers in (1, 2):
             assert run_monte_carlo(config, workers=workers) == expected
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "photon_input",
+        [PhotonInput.unpolarized(), PhotonInput.pure_ket(angle_from_degrees(25))],
+        ids=["unpolarized", "linear"],
+    )
+    def test_stage_one_reads_one_stream_in_photon_order(self, monkeypatch, seed, photon_input):
+        # photon i passes filter 1 by doubles 2i and 2i + 1 of the seed's
+        # stream, read whole: whatever the chunk size and the shares
+        stack = stack_of(10, 40, 70)
+        p_first = run_quantum_exact(photon_input, stack).stage_pass_probability[0]
+        monkeypatch.setattr(engines.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        for n in (1, 2, 1001, 65_537):
+            u = np.random.Generator(np.random.Philox(key=seed)).random((n, 2))
+            if photon_input.is_unpolarized:
+                expected = np.count_nonzero(engines._passes_first(u[:, 0], u[:, 1], stack.radians[0]))
+            else:
+                expected = np.count_nonzero(u[:, 0] < p_first)
+            config = MonteCarloConfig(n, seed, photon_input, stack)
+            for chunk in (3, 4097, engines._CHUNK_SIZE) if n <= 1001 else (4097, engines._CHUNK_SIZE):
+                monkeypatch.setattr(engines, "_CHUNK_SIZE", chunk)
+                for workers in (1, 2, 3):
+                    report = run_monte_carlo(config, workers=workers)
+                    assert report.per_stage_survivor_counts[0] == expected, (n, chunk, workers)
 
     def test_effective_workers_capped_by_chunks_and_cpus(self):
         assert engines._effective_workers(100_000, 150_000, 2) == 2
@@ -564,9 +601,9 @@ class TestMonteCarlo:
             def map(self, fn, items):
                 return map(fn, items)
 
-        def recorded(config, p_first, first_chunk, stride):
-            shares.append((first_chunk, stride))
-            return count(config, p_first, first_chunk, stride)
+        def recorded(config, p_first, lo, hi):
+            shares.append((lo, hi))
+            return count(config, p_first, lo, hi)
 
         config = MonteCarloConfig(
             photon_count=10 * engines._CHUNK_SIZE + 1,
@@ -582,7 +619,11 @@ class TestMonteCarlo:
         assert run_monte_carlo(config, workers=100_000) == expected
         # min(workers, chunks, CPUs) = 3 shares: the caller's and 2 helpers'
         assert requested == [2]
-        assert sorted(shares) == [(0, 3), (1, 3), (2, 3)]
+        # contiguous runs that start on even photons and cover [0, n) once
+        edges = sorted(shares)
+        assert len(edges) == 3 and edges[0][0] == 0 and edges[-1][1] == config.photon_count
+        assert all(hi == lo for (_, hi), (lo, _) in zip(edges, edges[1:]))
+        assert all(lo % 2 == 0 and lo < hi for lo, hi in edges)
 
     def test_one_share_starts_no_thread(self, monkeypatch):
         def no_thread(self):
@@ -618,10 +659,10 @@ class TestMonteCarlo:
     def test_a_helper_share_error_reaches_the_caller(self, monkeypatch):
         count = engines._first_stage_survivors
 
-        def failing(config, p_first, first_chunk, stride):
-            if first_chunk == 1:
+        def failing(config, p_first, lo, hi):
+            if lo > 0:
                 raise RuntimeError("helper share failed")
-            return count(config, p_first, first_chunk, stride)
+            return count(config, p_first, lo, hi)
 
         config = MonteCarloConfig(
             photon_count=4 * engines._CHUNK_SIZE,
@@ -818,8 +859,9 @@ class TestGoldenCounts:
 
     @pytest.mark.parametrize("plane,first", list(MC_GOLDEN))
     def test_counts_are_pinned_with_odd_chunk_starts(self, monkeypatch, plane, first):
-        # 7-photon chunks: every other chunk starts on an odd photon
-        monkeypatch.setattr(engines, "_CHUNK_SIZE", 7)
+        # 4097-photon chunks: 16 of them, and every other one starts on an
+        # odd photon, in the middle of a counter block
+        monkeypatch.setattr(engines, "_CHUNK_SIZE", 4097)
         config = golden_config(plane, first, 2**64 - 1, 65_537)
         for workers in (1, 2):
             report = run_monte_carlo(config, workers=workers)
