@@ -257,7 +257,7 @@ def parse_stack_text(text: str, source: str = "stack file") -> np.ndarray:
         # float() strips the same whitespace as str.strip()
         lines = chain.from_iterable(_code_lines(text))
         angles = np.fromiter(map(float, filter(str.strip, lines)), np.float64)
-        if np.isfinite(angles).all():
+        if np.count_nonzero(np.isfinite(angles)) == len(angles):
             return angles
     except ValueError:
         pass

@@ -21,6 +21,9 @@ A :class:`CascadeTrace` holds one array per column an engine produces; its
 intensity fraction with the quantum cumulative probability; the two agree
 because transmitted intensity is proportional to the photon transmission
 probability.
+
+Each engine holds its result columns and, beside them, working arrays of
+`_BLOCK` stages only; a :class:`ComparisonReport` keeps no column.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ from .core import _ByValue, _integer, _real
 
 # Two-sided 95% normal quantile, used by the Wilson score interval.
 _Z95 = 1.959963984540054
+
+# Stages the exact folds and `compare` work on at a time: it bounds each
+# working array that is not a result column.
+_BLOCK = 2048
 
 # Photons a share draws at a time: it bounds the draw buffer. A share reads
 # its draws in stream order, so the size does not change a count.
@@ -184,17 +191,39 @@ class MonteCarloReport(_ByValue):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ComparisonReport:
-    """Per-stage and final differences between classical and quantum runs.
+    """The largest difference between a classical and a quantum run.
 
-    `stage_differences` is one float64 array aligned with the stack, so,
-    like :class:`CascadeTrace`, reports compare by identity.
+    The report keeps the two traces it compared, so, like
+    :class:`CascadeTrace`, reports compare by identity. It stores only what
+    `compare` folds over the stages, `max_difference`; the final and
+    per-stage differences and the verdict are computed from the traces
+    each time they are read. `stage_differences` is a new float64 column
+    aligned with the stack.
     """
 
-    stage_differences: np.ndarray
-    final_difference: float
+    classical: CascadeTrace
+    quantum: CascadeTrace
     max_difference: float
     tolerance: float
-    passed: bool
+
+    @property
+    def final_difference(self) -> float:
+        """|classical fraction - quantum fraction| after the last stage."""
+        return abs(self.classical.final_transmitted_fraction
+                   - self.quantum.final_transmitted_fraction)
+
+    @property
+    def stage_differences(self) -> np.ndarray:
+        """|intensity fraction - cumulative probability| at each stage."""
+        classical = self.classical
+        return _differences(classical.classical_intensity_after,
+                            classical.input_description.intensity,
+                            self.quantum.cumulative_probability)
+
+    @property
+    def passed(self) -> bool:
+        """Whether the largest difference is within the tolerance."""
+        return self.max_difference <= self.tolerance
 
 
 def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
@@ -208,31 +237,33 @@ def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
     if input.intensity:  # a dark beam (0) has fraction 0; any other must be normal
         _real(input.intensity, "intensity", sys.float_info.min)
     axes = stack.radians
-    # one array, filled in place: the input intensity, then each stage's
-    # factor (1/2 for unpolarized light at the first filter, else the cos^2
-    # of the angle from the plane before), then their running product
-    intensities = np.empty(len(axes) + 1)
-    intensities[0] = input.intensity
-    if input.plane is None:
-        intensities[1:2] = 0.5
-        factors = intensities[2:]
-    else:
-        factors = intensities[1:]
-        factors[:1] = axes[:1] - input.plane.radians
-    np.subtract(axes[1:], axes[:-1], out=factors[len(factors) - len(axes) + 1:])
+    # one array, filled in place: each stage's factor (1/2 for unpolarized
+    # light at the first filter, else the cos^2 of the angle from the plane
+    # before), the first times the input intensity, then their running product
+    n = len(axes)
+    intensities = np.empty(n)
+    unpolarized = input.plane is None
+    factors = intensities[1:] if unpolarized else intensities
+    if n and not unpolarized:
+        factors[0] = axes[0] - input.plane.radians
+    np.subtract(axes[1:], axes[:-1], out=factors[len(factors) - n + 1:])
     np.cos(factors, out=factors)
     np.multiply(factors, factors, out=factors)
-    # a sequential running product: the same roundings as the per-filter loop
+    if n:
+        intensities[0] = (0.5 if unpolarized else intensities[0]) * input.intensity
+    # a sequential running product: the same roundings as the per-filter
+    # loop, I0 * f1 first, then * f2 and so on
     np.multiply.accumulate(intensities, out=intensities)
     if input.intensity > 0.0:
-        fraction = float(intensities[-1]) / input.intensity
+        # an empty stack transmits unchanged
+        fraction = float(intensities[-1]) / input.intensity if n else 1.0
     else:
         fraction = 0.0
     return CascadeTrace(
         input_description=input,
         stack=stack,
         final_transmitted_fraction=fraction,
-        classical_intensity_after=intensities[1:],
+        classical_intensity_after=intensities,
     )
 
 
@@ -243,22 +274,31 @@ def _born_probabilities(input: PhotonInput, axes: np.ndarray) -> np.ndarray:
     <axis|I/2|axis> = 1/2 for every axis); every later stage sees the ket
     of the filter before it. Probabilities are squared, clamped dot products
     of (cos, sin) kets, as :func:`polcascade.core.pass_probability` has them.
+
+    The kets are made `_BLOCK` stages at a time, from the planes that
+    block's stages see: the input's or the filter before each stage, so a
+    block also reads the last axis of the block before. The result is the
+    only whole-stack array.
     """
-    # the plane each stage sees: the input's (a pure ket), then each filter's
-    planes = axes.copy() if input.is_unpolarized else np.concatenate(([input.angle.radians], axes))
-    v = np.sin(planes)
-    h = np.cos(planes, out=planes)
     probs = np.empty(len(axes))
-    probs[:1] = 0.5
-    # the dot products, written after the 1/2 of unpolarized input; the
-    # spent h holds the v products, so no other whole-stack array is made
-    dot = probs[len(probs) - len(planes) + 1:]
-    np.multiply(h[1:], h[:-1], out=dot)
-    dot += np.multiply(v[1:], v[:-1], out=h[1:])
-    # clamped to [-1, 1] in place; np.clip costs more than both calls
-    np.maximum(dot, -1.0, out=dot)
-    np.minimum(dot, 1.0, out=dot)
-    np.multiply(dot, dot, out=dot)
+    # unpolarized input passes stage 1 with 1/2; a pure ket's plane is the
+    # one stage 1 sees
+    unpolarized = input.angle is None
+    if unpolarized and len(axes):
+        probs[0] = 0.5
+    for lo in range(1 if unpolarized else 0, len(axes), _BLOCK):
+        hi = lo + _BLOCK
+        planes = axes[lo - 1:hi] if lo else np.concatenate(([input.angle.radians], axes[:hi]))
+        v = np.sin(planes)
+        h = np.cos(planes)
+        # the dot products; the spent h holds the v products
+        dot = probs[lo:hi]
+        np.multiply(h[1:], h[:-1], out=dot)
+        dot += np.multiply(v[1:], v[:-1], out=h[1:])
+        # clamped to [-1, 1] in place; np.clip costs more than both calls
+        np.maximum(dot, -1.0, out=dot)
+        np.minimum(dot, 1.0, out=dot)
+        np.multiply(dot, dot, out=dot)
     return probs
 
 
@@ -276,7 +316,12 @@ def run_quantum_exact(input: PhotonInput, stack: FilterStack) -> CascadeTrace:
     cumulative probability is exactly 0, and no projection error is raised.
     """
     probs = _born_probabilities(input, stack.radians)
-    probs[np.logical_or.accumulate(probs < ZERO_PROBABILITY_TOL)] = 0.0
+    # the extinction cut: from the first stage below the tolerance on, all 0
+    for lo in range(0, len(probs), _BLOCK):
+        low = (probs[lo:lo + _BLOCK] < ZERO_PROBABILITY_TOL).nonzero()[0]
+        if len(low):
+            probs[lo + low[0]:] = 0.0
+            break
     cumulative = np.multiply.accumulate(probs)
     return CascadeTrace(
         input_description=input,
@@ -504,21 +549,23 @@ def compare(
     intensity_in = classical.input_description.intensity
     if intensity_in == 0.0:
         raise ComparisonDomainError("classical input is dark, so it has no transmitted fraction")
-    # |fraction - cumulative| at each stage, in one array
-    diffs = np.divide(classical.classical_intensity_after, intensity_in)
-    np.subtract(diffs, quantum.cumulative_probability, out=diffs)
-    np.abs(diffs, out=diffs)
-    final_diff = abs(
-        classical.final_transmitted_fraction - quantum.final_transmitted_fraction
-    )
-    max_diff = float(np.maximum.reduce(diffs, initial=final_diff))
-    return ComparisonReport(
-        stage_differences=diffs,
-        final_difference=final_diff,
-        max_difference=max_diff,
-        tolerance=tolerance,
-        passed=max_diff <= tolerance,
-    )
+    # the largest |fraction - cumulative|, the final one and a block of
+    # stages at a time
+    intensities = classical.classical_intensity_after
+    cumulative = quantum.cumulative_probability
+    max_diff = abs(classical.final_transmitted_fraction - quantum.final_transmitted_fraction)
+    for lo in range(0, len(intensities), _BLOCK):
+        hi = lo + _BLOCK
+        block = _differences(intensities[lo:hi], intensity_in, cumulative[lo:hi])
+        max_diff = np.maximum.reduce(block, initial=max_diff)
+    return ComparisonReport(classical, quantum, float(max_diff), tolerance)
+
+
+def _differences(intensities: np.ndarray, intensity_in: float, cumulative: np.ndarray) -> np.ndarray:
+    """|intensity / intensity_in - cumulative| at each stage, in one new array."""
+    diffs = intensities / intensity_in
+    diffs -= cumulative
+    return np.abs(diffs, out=diffs)
 
 
 def staircase_transmission(n: int, start: Angle, end: Angle) -> CascadeTrace:

@@ -1179,10 +1179,10 @@ class TestRenderMemory:
 
     def test_whole_run_peak_is_bounded_by_the_stack(self, tmp_path):
         # main streams its output, so the peak scales with the stack, not
-        # with the ~80 bytes a filter of output: the six columns a compare
+        # with the ~80 bytes a filter of output: the five columns a compare
         # keeps (the spec's degrees, the stack's radians, the classical
-        # intensities, the quantum stage and cumulative probabilities and
-        # the differences), 8 bytes a filter each, and one render block
+        # intensities, the quantum stage and cumulative probabilities), 8
+        # bytes a filter each, and one render block
         n = 100_000
         degrees = np.cumsum(np.random.default_rng(5).normal(0.0, 0.2, n))
         path = tmp_path / "walk.txt"
@@ -1195,7 +1195,7 @@ class TestRenderMemory:
             finally:
                 tracemalloc.stop()
         assert code == 0
-        assert peak < 6 * 8 * n + 200 * BLOCK, peak
+        assert peak < 5 * 8 * n + 200 * BLOCK, peak
 
 
 def _same(a, b):

@@ -6,10 +6,11 @@ import math
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polcascade import engines
 from polcascade.core import (
@@ -247,6 +248,121 @@ class TestFoldsMatchOracle:
         assert quantum.final_transmitted_fraction == cumulative[-1]
 
 
+BLOCK = engines._BLOCK
+
+
+def photon_inputs(plane_deg):
+    if plane_deg is None:
+        return ClassicalBeam.unpolarized(1.0), PhotonInput.unpolarized()
+    return ClassicalBeam.linear(deg(plane_deg), 1.0), PhotonInput.pure_ket(deg(plane_deg))
+
+
+def walk_degrees(n, seed=11):
+    # ~0.5 degree steps: a photon passes all 2 * BLOCK + 1 stages with p ~ 0.7
+    return np.cumsum(np.random.default_rng(seed).normal(0.0, 0.5, n)).tolist()
+
+
+class TestBlockEdges:
+    # the exact folds and compare work BLOCK stages at a time; a stack that
+    # ends just before, on or after a block edge, or reaches a third block,
+    # has the per-filter loop's bits
+    SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+    PHOTONS, SEED = 1000, 5
+
+    @pytest.fixture(scope="class", params=[None, 30.0], ids=["unpolarized", "linear"])
+    def walk(self, request):
+        # the loop over a stack's first n filters is the first n rows of the
+        # loop over the whole stack, so one loop serves every size
+        degrees = walk_degrees(max(self.SIZES))
+        return request.param, degrees, oracle_loop(degrees, request.param)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_exact_engines_match_the_per_filter_loop(self, walk, n):
+        plane_deg, degrees, (intensities, probs, cumulative) = walk
+        beam, photons = photon_inputs(plane_deg)
+        stack = FilterStack.from_degrees(degrees[:n])
+        classical = run_classical(beam, stack)
+        quantum = run_quantum_exact(photons, stack)
+        assert classical.classical_intensity_after.tolist() == intensities[:n]
+        assert quantum.stage_pass_probability.tolist() == probs[:n]
+        assert quantum.cumulative_probability.tolist() == cumulative[:n]
+
+    @pytest.fixture(scope="class")
+    def chain(self, walk):
+        # stage 1 by the photon draws, then Binomial(survivors, p_j) drawn in
+        # stage order from the chain's stream, p_j from the per-filter loop;
+        # a shorter stack's counts are this chain's first rows too
+        plane_deg, degrees, (_, probs, _) = walk
+        u = np.random.Generator(np.random.Philox(key=self.SEED)).random((self.PHOTONS, 2))
+        if plane_deg is None:
+            first_axis = FilterStack.from_degrees(degrees[:1]).radians[0]
+            survivors = np.count_nonzero(engines._passes_first(u[:, 0], u[:, 1], first_axis))
+        else:
+            survivors = np.count_nonzero(u[:, 0] < probs[0])
+        binomial = np.random.Generator(
+            np.random.Philox(key=self.SEED, counter=engines._CHAIN_COUNTER)
+        ).binomial
+        counts = [int(survivors)]
+        for p in probs[1:]:
+            counts.append(int(binomial(counts[-1], p)) if counts[-1] else 0)
+        assert counts[-1] > 0
+        return counts
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_monte_carlo_matches_the_per_filter_chain(self, walk, chain, n):
+        plane_deg, degrees, _ = walk
+        _, photons = photon_inputs(plane_deg)
+        config = MonteCarloConfig(self.PHOTONS, self.SEED, photons, FilterStack.from_degrees(degrees[:n]))
+        assert run_monte_carlo(config).per_stage_survivor_counts.tolist() == chain[:n]
+
+    @pytest.mark.parametrize("plane_deg", [None, 30.0], ids=["unpolarized", "linear"])
+    @pytest.mark.parametrize("cut", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_an_orthogonal_pair_by_a_block_edge_cuts_every_later_stage(self, plane_deg, cut):
+        # filters cut - 1 and cut are crossed: the pair ends before the second
+        # block, straddles its edge or starts it
+        degrees = walk_degrees(2 * BLOCK + 1)
+        degrees[cut] = degrees[cut - 1] + 90.0
+        _, photons = photon_inputs(plane_deg)
+        quantum = run_quantum_exact(photons, FilterStack.from_degrees(degrees))
+        probs, cumulative = quantum.stage_pass_probability, quantum.cumulative_probability
+        assert np.all(probs[:cut] > 0.0) and np.all(cumulative[:cut] > 0.0)
+        assert not probs[cut:].any() and not cumulative[cut:].any()
+        assert quantum.final_transmitted_fraction == 0.0
+
+    @settings(max_examples=30)
+    @given(
+        degrees=st.lists(oracle_angles, min_size=0, max_size=40),
+        plane_deg=st.none() | oracle_angles,
+        intensity=st.floats(min_value=1e-3, max_value=1e3),
+        tolerance=st.sampled_from([0.0, 1e-16, 1e-9]),
+        block=st.sampled_from([1, 2, 3, 7, BLOCK]),
+    )
+    def test_compare_folds_blocks_to_the_whole_column_values(
+        self, degrees, plane_deg, intensity, tolerance, block
+    ):
+        # the values a compare once took from one whole column of differences
+        stack = FilterStack.from_degrees(degrees)
+        angle = None if plane_deg is None else deg(plane_deg)
+        classical = run_classical(ClassicalBeam(intensity, angle), stack)
+        quantum = run_quantum_exact(PhotonInput(angle), stack)
+        diffs = np.abs(classical.classical_intensity_after / intensity
+                       - quantum.cumulative_probability)
+        final = abs(classical.final_transmitted_fraction - quantum.final_transmitted_fraction)
+        max_diff = float(np.maximum.reduce(diffs, initial=final))
+        with mock.patch.object(engines, "_BLOCK", block):
+            report = compare(classical, quantum, tolerance)
+            # and the folds give the same columns a few stages at a time
+            assert np.array_equal(
+                run_quantum_exact(PhotonInput(angle), stack).cumulative_probability,
+                quantum.cumulative_probability,
+            )
+        assert report.max_difference == max_diff
+        assert report.passed == (max_diff <= tolerance)
+        assert report.final_difference == final
+        assert report.stage_differences.dtype == np.float64
+        assert np.array_equal(report.stage_differences, diffs)
+
+
 class TestEquivalence:
     def test_classical_and_quantum_agree_on_1000_random_stacks(self):
         rng = np.random.default_rng(20240911)
@@ -280,8 +396,9 @@ def _traced_peak(run):
 
 
 class TestEngineMemory:
-    # each engine holds its output columns and at most one whole-stack
-    # temporary, 8 bytes a filter each; a run of a long stack holds little else
+    # each engine holds its output columns, 8 bytes a filter each; its
+    # temporaries, and compare's differences, are one block of stages, in
+    # the slack; a run of a long stack holds little else
     N = 100_000
     COLUMN = 8 * N
     SLACK = 1 << 16
@@ -295,17 +412,17 @@ class TestEngineMemory:
 
     def test_classical_holds_its_intensities_and_one_temporary(self, runs):
         _, peak = _traced_peak(runs[0])
-        assert peak < 2 * self.COLUMN + self.SLACK, peak
+        assert peak < self.COLUMN + self.SLACK, peak
 
     def test_quantum_holds_its_two_columns_and_one_temporary(self, runs):
         _, peak = _traced_peak(runs[1])
-        assert peak < 3 * self.COLUMN + self.SLACK, peak
+        assert peak < 2 * self.COLUMN + self.SLACK, peak
 
     def test_compare_holds_its_differences_and_one_temporary(self, runs):
         classical, quantum = runs[0](), runs[1]()
         report, peak = _traced_peak(lambda: compare(classical, quantum, 1e-9))
         assert report.passed
-        assert peak < 2 * self.COLUMN + self.SLACK, peak
+        assert peak < self.SLACK, peak
 
 
 class TestCompare:
