@@ -2,7 +2,9 @@
 
 The exact engines are array folds over :attr:`FilterStack.radians` that
 match, bit for bit, a loop over the single-filter functions in
-:mod:`polcascade.core`:
+:mod:`polcascade.core`. One walk, :func:`_stage_factors`, hands each stage
+the plane it sees (the input's at stage 1, the axis before it at later
+stages) and a kernel turns the two into the stage's factor:
 
 * :func:`run_classical` is one running product of Malus cos^2 factors.
 * :func:`run_quantum_exact` multiplies Born-rule pass probabilities, squared
@@ -23,7 +25,8 @@ because transmitted intensity is proportional to the photon transmission
 probability.
 
 Each engine holds its result columns and, beside them, working arrays of
-`_BLOCK` stages only; a :class:`ComparisonReport` keeps no column.
+`_BLOCK` stages only; a :class:`ComparisonReport` keeps no column, and a
+:class:`MonteCarloReport` only its counts.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .core import _ByValue, _integer, _real
 # Two-sided 95% normal quantile, used by the Wilson score interval.
 _Z95 = 1.959963984540054
 
-# Stages the exact folds and `compare` work on at a time: it bounds each
-# working array that is not a result column.
+# Stages the folds, the Monte Carlo chain and `compare` work on at a time:
+# it bounds each working array that is not a result column.
 _BLOCK = 2048
 
 # Photons a share draws at a time: it bounds the draw buffer. A share reads
@@ -62,9 +65,6 @@ _SCREEN_MARGIN = 1e-5
 # Philox counter of the stream that draws the binomial chain of stages
 # 2..S. Photon blocks have a zero third word, so the streams never overlap.
 _CHAIN_COUNTER = (0, 0, 1, 0)
-
-# stages of the chain converted to Python floats at a time: bounds the list
-_CHAIN_STAGES = 4096
 
 # Integer ranges [lo, hi): the binomial chain counts survivors in int64, and
 # a seed is a Philox key, one unsigned 64-bit word.
@@ -163,22 +163,18 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class MonteCarloReport(_ByValue):
-    """Counts and binomial statistics from a Monte Carlo run.
+    """Survivor counts from a Monte Carlo run, and their binomial statistics.
 
     `per_stage_survivor_counts` is one read-only int64 array aligned with
-    the stack; reports compare and hash by value.
+    the stack. The statistics are computed from the counts when read;
+    reports compare and hash by config and counts.
     """
 
     config: MonteCarloConfig
     per_stage_survivor_counts: np.ndarray
-    transmitted_count: int
-    estimate: float
-    standard_error: float
-    confidence_interval_95: tuple[float, float]
 
     def _key(self) -> tuple:
-        return (self.config, self.per_stage_survivor_counts.tobytes(), self.transmitted_count,
-                self.estimate, self.standard_error, self.confidence_interval_95)
+        return (self.config, self.per_stage_survivor_counts.tobytes())
 
     @property
     def seed(self) -> int:
@@ -187,6 +183,28 @@ class MonteCarloReport(_ByValue):
     @property
     def photon_count(self) -> int:
         return self.config.photon_count
+
+    @property
+    def transmitted_count(self) -> int:
+        """Photons past the last filter; every photon for an empty stack."""
+        counts = self.per_stage_survivor_counts
+        return int(counts[-1]) if len(counts) else self.config.photon_count
+
+    @property
+    def estimate(self) -> float:
+        """The transmitted fraction k / n of the n photons."""
+        return self.transmitted_count / self.config.photon_count
+
+    @property
+    def standard_error(self) -> float:
+        """The binomial standard error sqrt(p (1 - p) / n) of the estimate p."""
+        p = self.estimate
+        return math.sqrt(p * (1.0 - p) / self.config.photon_count)
+
+    @property
+    def confidence_interval_95(self) -> tuple[float, float]:
+        """The 95% Wilson score interval of the estimate."""
+        return wilson_interval_95(self.transmitted_count, self.config.photon_count)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -226,6 +244,54 @@ class ComparisonReport:
         return self.max_difference <= self.tolerance
 
 
+def _stage_factors(plane: Angle | None, axes: np.ndarray, factor) -> np.ndarray:
+    """Each stage's factor, from its axis and the plane of polarization it sees.
+
+    Stage 1 sees `plane`, and every later stage the axis before it; for
+    unpolarized input (`plane` None) stage 1's factor is exactly 1/2, in
+    Malus's law and the Born rule alike. The rest go `_BLOCK` stages at a
+    time: `factor(planes, out)` writes a block's factors to `out`, where
+    `planes` is the plane its first stage sees, then its axes. The result
+    is the only whole-stack array.
+    """
+    factors = np.empty(len(axes))
+    unpolarized = plane is None
+    if unpolarized and len(axes):
+        factors[0] = 0.5
+    for lo in range(1 if unpolarized else 0, len(axes), _BLOCK):
+        hi = lo + _BLOCK
+        if lo:  # a block also reads the last axis of the block before
+            planes = axes[lo - 1:hi]
+        else:  # or the input plane: filling an array costs ~1 us less than np.concatenate
+            planes = np.empty(min(hi, len(axes)) + 1)
+            planes[0], planes[1:] = plane.radians, axes[:hi]
+        factor(planes, factors[lo:hi])
+    return factors
+
+
+def _malus(planes: np.ndarray, out: np.ndarray) -> None:
+    """Malus factors cos^2(axis - plane), as :func:`polcascade.core.malus_factor`."""
+    np.subtract(planes[1:], planes[:-1], out=out)
+    np.cos(out, out=out)
+    np.multiply(out, out, out=out)
+
+
+def _born(planes: np.ndarray, out: np.ndarray) -> None:
+    """Born-rule pass probabilities, as :func:`polcascade.core.pass_probability`.
+
+    Each is the squared dot product of the (cos, sin) kets, clamped to [-1, 1].
+    """
+    v = np.sin(planes)
+    h = np.cos(planes)
+    # the dot products; the spent h holds the v products
+    np.multiply(h[1:], h[:-1], out=out)
+    out += np.multiply(v[1:], v[:-1], out=h[1:])
+    # clamped to [-1, 1] in place; np.clip costs more than both calls
+    np.maximum(out, -1.0, out=out)
+    np.minimum(out, 1.0, out=out)
+    np.multiply(out, out, out=out)
+
+
 def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
     """Fold Malus-law transmission over the stack.
 
@@ -236,21 +302,12 @@ def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
     """
     if input.intensity:  # a dark beam (0) has fraction 0; any other must be normal
         _real(input.intensity, "intensity", sys.float_info.min)
-    axes = stack.radians
-    # one array, filled in place: each stage's factor (1/2 for unpolarized
-    # light at the first filter, else the cos^2 of the angle from the plane
-    # before), the first times the input intensity, then their running product
-    n = len(axes)
-    intensities = np.empty(n)
-    unpolarized = input.plane is None
-    factors = intensities[1:] if unpolarized else intensities
-    if n and not unpolarized:
-        factors[0] = axes[0] - input.plane.radians
-    np.subtract(axes[1:], axes[:-1], out=factors[len(factors) - n + 1:])
-    np.cos(factors, out=factors)
-    np.multiply(factors, factors, out=factors)
+    # one array, filled in place: each stage's factor, the first times the
+    # input intensity, then their running product
+    intensities = _stage_factors(input.plane, stack.radians, _malus)
+    n = len(intensities)
     if n:
-        intensities[0] = (0.5 if unpolarized else intensities[0]) * input.intensity
+        intensities[0] *= input.intensity
     # a sequential running product: the same roundings as the per-filter
     # loop, I0 * f1 first, then * f2 and so on
     np.multiply.accumulate(intensities, out=intensities)
@@ -259,47 +316,7 @@ def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
         fraction = float(intensities[-1]) / input.intensity if n else 1.0
     else:
         fraction = 0.0
-    return CascadeTrace(
-        input_description=input,
-        stack=stack,
-        final_transmitted_fraction=fraction,
-        classical_intensity_after=intensities,
-    )
-
-
-def _born_probabilities(input: PhotonInput, axes: np.ndarray) -> np.ndarray:
-    """Born-rule pass probability of each stage, before any extinction cut.
-
-    Stage 1 sees the input state (exactly 1/2 for unpolarized light, since
-    <axis|I/2|axis> = 1/2 for every axis); every later stage sees the ket
-    of the filter before it. Probabilities are squared, clamped dot products
-    of (cos, sin) kets, as :func:`polcascade.core.pass_probability` has them.
-
-    The kets are made `_BLOCK` stages at a time, from the planes that
-    block's stages see: the input's or the filter before each stage, so a
-    block also reads the last axis of the block before. The result is the
-    only whole-stack array.
-    """
-    probs = np.empty(len(axes))
-    # unpolarized input passes stage 1 with 1/2; a pure ket's plane is the
-    # one stage 1 sees
-    unpolarized = input.angle is None
-    if unpolarized and len(axes):
-        probs[0] = 0.5
-    for lo in range(1 if unpolarized else 0, len(axes), _BLOCK):
-        hi = lo + _BLOCK
-        planes = axes[lo - 1:hi] if lo else np.concatenate(([input.angle.radians], axes[:hi]))
-        v = np.sin(planes)
-        h = np.cos(planes)
-        # the dot products; the spent h holds the v products
-        dot = probs[lo:hi]
-        np.multiply(h[1:], h[:-1], out=dot)
-        dot += np.multiply(v[1:], v[:-1], out=h[1:])
-        # clamped to [-1, 1] in place; np.clip costs more than both calls
-        np.maximum(dot, -1.0, out=dot)
-        np.minimum(dot, 1.0, out=dot)
-        np.multiply(dot, dot, out=dot)
-    return probs
+    return CascadeTrace(input, stack, fraction, intensities)
 
 
 def run_quantum_exact(input: PhotonInput, stack: FilterStack) -> CascadeTrace:
@@ -315,7 +332,7 @@ def run_quantum_exact(input: PhotonInput, stack: FilterStack) -> CascadeTrace:
     filter pair): it is recorded as exactly 0, every later stage and
     cumulative probability is exactly 0, and no projection error is raised.
     """
-    probs = _born_probabilities(input, stack.radians)
+    probs = _stage_factors(input.angle, stack.radians, _born)
     # the extinction cut: from the first stage below the tolerance on, all 0
     for lo in range(0, len(probs), _BLOCK):
         low = (probs[lo:lo + _BLOCK] < ZERO_PROBABILITY_TOL).nonzero()[0]
@@ -323,13 +340,8 @@ def run_quantum_exact(input: PhotonInput, stack: FilterStack) -> CascadeTrace:
             probs[lo + low[0]:] = 0.0
             break
     cumulative = np.multiply.accumulate(probs)
-    return CascadeTrace(
-        input_description=input,
-        stack=stack,
-        final_transmitted_fraction=float(cumulative[-1]) if len(cumulative) else 1.0,
-        stage_pass_probability=probs,
-        cumulative_probability=cumulative,
-    )
+    fraction = float(cumulative[-1]) if len(cumulative) else 1.0
+    return CascadeTrace(input, stack, fraction, None, probs, cumulative)
 
 
 def wilson_interval_95(successes: int, trials: int) -> tuple[float, float]:
@@ -447,14 +459,11 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
     """
     requested = _integer(workers, "workers", 1)
     n = config.photon_count
-    stack = config.stack
-    # the stages after the chain runs out of photons keep their zero
-    counts = np.zeros(len(stack), np.int64)
-    if len(stack) == 0:
-        # nothing to absorb a photon: every one is transmitted
-        transmitted = n
-    else:
-        probs = _born_probabilities(config.input, stack.radians)
+    probs = _stage_factors(config.input.angle, config.stack.radians, _born)
+    # the stages after the chain runs out of photons keep their zero; an
+    # empty stack has no stage to sample and transmits every photon
+    counts = np.zeros(len(probs), np.int64)
+    if len(probs):
         n_chunks = -(-n // _CHUNK_SIZE)
         # the CPUs this process may run on, by its affinity mask where the OS has one
         if hasattr(os, "sched_getaffinity"):
@@ -486,9 +495,9 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
         # the stage probabilities as Python floats and the counts as Python
         # ints, one block of stages at a time: the same draws, without a
         # numpy scalar per stage
-        for start in range(1, len(probs), _CHAIN_STAGES):
+        for start in range(1, len(probs), _BLOCK):
             alive = []
-            for p in probs[start:start + _CHAIN_STAGES].tolist():
+            for p in probs[start:start + _BLOCK].tolist():
                 if not survivors:
                     break
                 survivors = binomial(survivors, p)
@@ -496,18 +505,8 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
             counts[start:start + len(alive)] = alive
             if not survivors:
                 break
-        transmitted = survivors
     counts.flags.writeable = False
-    estimate = transmitted / n
-    stderr = math.sqrt(estimate * (1.0 - estimate) / n)
-    return MonteCarloReport(
-        config=config,
-        per_stage_survivor_counts=counts,
-        transmitted_count=transmitted,
-        estimate=estimate,
-        standard_error=stderr,
-        confidence_interval_95=wilson_interval_95(transmitted, n),
-    )
+    return MonteCarloReport(config, counts)
 
 
 def compare(
@@ -549,11 +548,12 @@ def compare(
     intensity_in = classical.input_description.intensity
     if intensity_in == 0.0:
         raise ComparisonDomainError("classical input is dark, so it has no transmitted fraction")
-    # the largest |fraction - cumulative|, the final one and a block of
-    # stages at a time
+    # the largest |fraction - cumulative|, a block of stages at a time; the
+    # last stage's is the final difference, with the same division and
+    # subtraction, so the fold starts from 0
     intensities = classical.classical_intensity_after
     cumulative = quantum.cumulative_probability
-    max_diff = abs(classical.final_transmitted_fraction - quantum.final_transmitted_fraction)
+    max_diff = 0.0
     for lo in range(0, len(intensities), _BLOCK):
         hi = lo + _BLOCK
         block = _differences(intensities[lo:hi], intensity_in, cumulative[lo:hi])

@@ -27,6 +27,7 @@ from polcascade.core import (
 from polcascade.engines import (
     ComparisonDomainError,
     MonteCarloConfig,
+    MonteCarloReport,
     PhotonInput,
     StageRecord,
     compare,
@@ -361,6 +362,30 @@ class TestBlockEdges:
         assert report.final_difference == final
         assert report.stage_differences.dtype == np.float64
         assert np.array_equal(report.stage_differences, diffs)
+
+    @settings(max_examples=30)
+    @given(
+        degrees=st.lists(oracle_angles, min_size=0, max_size=40),
+        plane_deg=st.none() | oracle_angles,
+    )
+    def test_every_block_loop_at_tiny_blocks_gives_the_same_bits(self, degrees, plane_deg):
+        # the stage walk, the extinction cut and the Monte Carlo chain each
+        # step a block at a time; blocks shorter than the stack change no bit
+        beam, photons = photon_inputs(plane_deg)
+        stack = FilterStack.from_degrees(degrees)
+        config = MonteCarloConfig(300, 5, photons, stack)
+
+        def columns():
+            quantum = run_quantum_exact(photons, stack)
+            return (run_classical(beam, stack).classical_intensity_after.tobytes(),
+                    quantum.stage_pass_probability.tobytes(),
+                    quantum.cumulative_probability.tobytes(),
+                    run_monte_carlo(config).per_stage_survivor_counts.tolist())
+
+        whole = columns()
+        for block in (1, 2, 3, 7):
+            with mock.patch.object(engines, "_BLOCK", block):
+                assert columns() == whole, block
 
 
 class TestEquivalence:
@@ -984,6 +1009,45 @@ class TestGoldenCounts:
             report = run_monte_carlo(config, workers=workers)
             counts = report.per_stage_survivor_counts.tolist()
             assert tuple(counts) == MC_GOLDEN[plane, first][2**64 - 1, 65_537]
+
+
+def assert_statistics(report, k):
+    # the statistics of k photons passing out of n, as the engine once stored them
+    n = report.photon_count
+    assert type(report.transmitted_count) is int and report.transmitted_count == k
+    assert report.estimate == k / n
+    assert report.standard_error == math.sqrt(k / n * (1.0 - k / n) / n)
+    assert report.confidence_interval_95 == wilson_interval_95(k, n)
+
+
+class TestMonteCarloReport:
+    # a report stores its config and counts; its statistics are read from them
+    def test_fields_are_the_config_and_the_counts(self):
+        names = [field.name for field in dataclasses.fields(MonteCarloReport)]
+        assert names == ["config", "per_stage_survivor_counts"]
+
+    @pytest.mark.parametrize("plane,first", list(MC_GOLDEN))
+    def test_golden_runs_at_1_2_and_3_workers(self, plane, first):
+        for (seed, photons), counts in MC_GOLDEN[plane, first].items():
+            config = golden_config(plane, first, seed, photons)
+            reports = [run_monte_carlo(config, workers=w) for w in (1, 2, 3)]
+            for report in reports:
+                assert_statistics(report, counts[-1])
+            assert reports[0] == reports[1] == reports[2]
+            assert len({hash(report) for report in reports}) == 1
+
+    def test_empty_stack_transmits_every_photon(self):
+        config = MonteCarloConfig(1000, 5, PhotonInput.pure_ket(deg(10)), FilterStack())
+        report = run_monte_carlo(config)
+        assert report.per_stage_survivor_counts.tolist() == []
+        assert_statistics(report, 1000)
+
+    def test_extinct_chain_transmits_no_photon(self):
+        config = MonteCarloConfig(1000, 9, PhotonInput.unpolarized(), stack_of(30, 120, 0))
+        report = run_monte_carlo(config)
+        assert report.per_stage_survivor_counts[0] > 0
+        assert report.per_stage_survivor_counts[1:].tolist() == [0, 0]
+        assert_statistics(report, 0)
 
 
 def screen_cos2(v, axis):
