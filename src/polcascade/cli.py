@@ -502,7 +502,8 @@ def main(argv: list[str] | None = None) -> int:
     A failure while writing exits 3 like any other crash, possibly after
     part of the output. A reader that closes the pipe early is not a
     failure: the run stops quietly with 141, the code of a process that
-    SIGPIPE ended.
+    SIGPIPE ended. Ctrl-C stops it with one line on stderr and 130, the
+    code of a process that SIGINT ended.
     """
     out = sys.stdout
     try:
@@ -514,6 +515,10 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         _discard_unwritable(out)
         return 141
+    except KeyboardInterrupt:
+        _discard_unwritable(out)
+        print("polcascade: interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:
         # exit code 1 already means "compare failed", so a crash gets its own code
         print(f"polcascade: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

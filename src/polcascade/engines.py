@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,9 +50,15 @@ _Z95 = 1.959963984540054
 # it bounds each working array that is not a result column.
 _BLOCK = 2048
 
-# Photons a share draws at a time: it bounds the draw buffer. A share reads
-# its draws in stream order, so the size does not change a count.
-_CHUNK_SIZE = 1 << 16
+# Photons a share draws at a time: it bounds the draw buffer, 16 bytes a
+# photon, plus 5 for the unpolarized screen and its mask. A share reads its
+# draws in stream order, so the size does not change a count. 1 << 15 keeps
+# a share at 512 KiB of draws. 1 << 14 would save ~2.5 MB more peak RSS, but
+# each chunk costs ~20 numpy calls and two shares contend for the GIL: a
+# two-worker 5e7-photon run took 0.800 s at 1 << 14, 0.720 s at 1 << 15 and
+# 0.664 s at 1 << 16, medians of 10 interleaved runs on 2 shared vCPUs whose
+# quartiles overlap; 10 earlier runs gave 0.896, 0.706 and 0.763 s.
+_CHUNK_SIZE = 1 << 15
 
 # Margin of the float32 screen of the unpolarized stage-1 test. The screen's
 # argument pi*v - a is off by at most ~5 * 2**-24 * pi ~ 1e-6 (v in [0, 1), a
@@ -244,28 +251,32 @@ class ComparisonReport:
         return self.max_difference <= self.tolerance
 
 
-def _stage_factors(plane: Angle | None, axes: np.ndarray, factor) -> np.ndarray:
-    """Each stage's factor, from its axis and the plane of polarization it sees.
+def _stage_factors(plane: Angle | None, axes: np.ndarray, factor, lo: int = 0,
+                   hi: int | None = None) -> np.ndarray:
+    """The factors of stages lo..hi-1 (0-based; all by default), from each
+    stage's axis and the plane of polarization it sees.
 
     Stage 1 sees `plane`, and every later stage the axis before it; for
     unpolarized input (`plane` None) stage 1's factor is exactly 1/2, in
     Malus's law and the Born rule alike. The rest go `_BLOCK` stages at a
     time: `factor(planes, out)` writes a block's factors to `out`, where
     `planes` is the plane its first stage sees, then its axes. The result
-    is the only whole-stack array.
+    is the only array as long as the range.
     """
-    factors = np.empty(len(axes))
-    unpolarized = plane is None
-    if unpolarized and len(axes):
+    hi = len(axes) if hi is None else min(hi, len(axes))
+    factors = np.empty(hi - lo)
+    first = lo
+    if plane is None and lo == 0 and hi:
         factors[0] = 0.5
-    for lo in range(1 if unpolarized else 0, len(axes), _BLOCK):
-        hi = lo + _BLOCK
-        if lo:  # a block also reads the last axis of the block before
-            planes = axes[lo - 1:hi]
+        first = 1
+    for start in range(first, hi, _BLOCK):
+        end = min(start + _BLOCK, hi)
+        if start:  # a block also reads the last axis of the block before
+            planes = axes[start - 1:end]
         else:  # or the input plane: filling an array costs ~1 us less than np.concatenate
-            planes = np.empty(min(hi, len(axes)) + 1)
-            planes[0], planes[1:] = plane.radians, axes[:hi]
-        factor(planes, factors[lo:hi])
+            planes = np.empty(end + 1)
+            planes[0], planes[1:] = plane.radians, axes[:end]
+        factor(planes, factors[start - lo:end - lo])
     return factors
 
 
@@ -403,7 +414,8 @@ def _screened_passes(u: np.ndarray, axis: float, d: np.ndarray, near: np.ndarray
     return passed + int(np.count_nonzero(_passes_first(u[ties, 0], u[ties, 1], axis)))
 
 
-def _first_stage_survivors(config: MonteCarloConfig, p_first: float, lo: int, hi: int) -> int:
+def _first_stage_survivors(config: MonteCarloConfig, p_first: float, lo: int, hi: int,
+                           stop: threading.Event) -> int:
     """Photons lo, lo + 1, ..., hi - 1 passing filter 1.
 
     Photon i owns doubles [2i, 2i + 2) of the Philox stream keyed by the
@@ -411,7 +423,8 @@ def _first_stage_survivors(config: MonteCarloConfig, p_first: float, lo: int, hi
     second its plane angle as a fraction of pi when the input is
     unpolarized. `lo` is even, so the share starts at block lo // 2 and
     reads on in order, a chunk at a time into one buffer. `p_first` is the
-    pass probability of a linearly polarized input.
+    pass probability of a linearly polarized input. Once `stop` is set the
+    share returns before its next chunk, with a count that is not used.
     """
     rows = min(_CHUNK_SIZE, hi - lo)
     draws = np.empty((rows, 2))
@@ -422,6 +435,8 @@ def _first_stage_survivors(config: MonteCarloConfig, p_first: float, lo: int, hi
     generator = np.random.Generator(np.random.Philox(key=config.seed, counter=lo // 2))
     passed = 0
     for start in range(lo, hi, _CHUNK_SIZE):
+        if stop.is_set():
+            break
         count = min(_CHUNK_SIZE, hi - start)
         u = generator.random(out=draws[:count])
         if unpolarized:
@@ -429,6 +444,57 @@ def _first_stage_survivors(config: MonteCarloConfig, p_first: float, lo: int, hi
         else:
             passed += int(np.count_nonzero(u[:, 0] < p_first))
     return passed
+
+
+def _sample_first_stage(config: MonteCarloConfig, p_first: float, requested: int) -> int:
+    """Photons passing filter 1, counted in shares on up to `requested` threads.
+
+    The calling thread counts share 0 and one helper thread each other
+    share. A helper writes its count, or the exception it raised, to its
+    own slot. A failing helper sets the stop event, and so does the caller
+    on any exception of its own, KeyboardInterrupt included, before it
+    joins the helpers: every share then stops within one chunk. After the
+    join the caller's exception, else the first helper's, is raised
+    unchanged.
+    """
+    n = config.photon_count
+    # the CPUs this process may run on, by its affinity mask where the OS has one
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    threads = _effective_workers(requested, -(-n // _CHUNK_SIZE), cpus)
+    # share k reads photons [edges[k], edges[k + 1]), starting on a block of 2 photons
+    blocks = -(-n // 2)
+    edges = [min(n, 2 * (blocks * k // threads)) for k in range(threads + 1)]
+    slots = [None] * threads
+    stop = threading.Event()
+
+    def share(k: int) -> None:
+        try:
+            slots[k] = _first_stage_survivors(config, p_first, edges[k], edges[k + 1], stop)
+        except BaseException as exc:  # raised by the caller after the join
+            slots[k] = exc
+            stop.set()
+
+    helpers = []
+    try:
+        for k in range(1, threads):
+            helper = threading.Thread(target=share, args=(k,))
+            helper.start()
+            helpers.append(helper)
+        slots[0] = _first_stage_survivors(config, p_first, edges[0], edges[1], stop)
+        for helper in helpers:
+            helper.join()
+    except BaseException:  # share 0's, or a KeyboardInterrupt during the join
+        stop.set()
+        for helper in helpers:
+            helper.join()
+        raise
+    for result in slots:
+        if isinstance(result, BaseException):
+            raise result
+    return sum(slots)
 
 
 def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloReport:
@@ -444,50 +510,31 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
     exactly the chain Binomial(survivors, p_j) for j = 2..S. One Philox
     stream keyed by the seed at counter [0, 0, 1, 0], disjoint from every
     photon's block, draws that chain in stage order (numpy's BTPE
-    binomial) and stops once no photon is left.
+    binomial). The chain takes its p_j a `_BLOCK` of stages at a time and
+    stops after the block where no photon is left, so a stack that empties
+    early is walked only that far.
 
-    Work is O(photons + stages). Each thread holds one chunk of draws, 16
-    bytes a photon for 65 536 photons; unpolarized input adds the float32
-    screen and its mask, 5 bytes a photon more. The photons are split into
-    min(workers, chunks, CPUs this process may run on) contiguous shares,
-    each starting on an even photon, and a share reads its own run of the
-    stream in order. Stage-1 counts reduce by integer addition and the
-    chain runs once after, so the report is bit-identical for a fixed
-    config whatever the worker count, chunk size or execution order. The
-    calling thread counts share 0 and one helper thread each other share,
-    so a one-share run starts no thread and does not load the thread pool.
+    Work is O(photons + stages reached); memory is the counts column plus
+    O(block) for the chain. The photons are split into min(workers, chunks,
+    CPUs this process may run on) contiguous shares, each starting on an
+    even photon, and a share reads its own run of the stream in order, one
+    chunk of 32 768 photons at a time: 512 KiB of draws, and for
+    unpolarized input 128 KiB of float32 screen and 32 KiB of mask. Stage-1
+    counts reduce by integer addition and the chain runs once after, so the
+    report is bit-identical for a fixed config whatever the worker count,
+    chunk size or execution order. The calling thread counts share 0 and a
+    plain `threading.Thread` each other share, so a one-share run starts no
+    thread; one stop event, checked between chunks, ends every share within
+    one chunk of a failing share or of Ctrl-C (:func:`_sample_first_stage`).
     """
     requested = _integer(workers, "workers", 1)
-    n = config.photon_count
-    probs = _stage_factors(config.input.angle, config.stack.radians, _born)
+    plane, axes = config.input.angle, config.stack.radians
     # the stages after the chain runs out of photons keep their zero; an
     # empty stack has no stage to sample and transmits every photon
-    counts = np.zeros(len(probs), np.int64)
-    if len(probs):
-        n_chunks = -(-n // _CHUNK_SIZE)
-        # the CPUs this process may run on, by its affinity mask where the OS has one
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count()
-        threads = _effective_workers(requested, n_chunks, cpus)
-        # share k reads photons [edges[k], edges[k + 1]), starting on a block of 2 photons
-        blocks = -(-n // 2)
-        edges = [min(n, 2 * (blocks * k // threads)) for k in range(threads + 1)]
-
-        def share(k: int) -> int:
-            return _first_stage_survivors(config, probs[0], edges[k], edges[k + 1])
-
-        if threads == 1:
-            survivors = share(0)
-        else:
-            # loaded only here: the pool module brings logging and queue along
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-                helpers = pool.map(share, range(1, threads))
-                # map re-raises a helper's exception here
-                survivors = share(0) + sum(helpers)
+    counts = np.zeros(len(axes), np.int64)
+    if len(axes):
+        p_first = _stage_factors(plane, axes, _born, 0, 1)[0]
+        survivors = _sample_first_stage(config, p_first, requested)
         binomial = np.random.Generator(
             np.random.Philox(key=config.seed, counter=_CHAIN_COUNTER)
         ).binomial
@@ -495,16 +542,16 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
         # the stage probabilities as Python floats and the counts as Python
         # ints, one block of stages at a time: the same draws, without a
         # numpy scalar per stage
-        for start in range(1, len(probs), _BLOCK):
-            alive = []
-            for p in probs[start:start + _BLOCK].tolist():
-                if not survivors:
-                    break
-                survivors = binomial(survivors, p)
-                alive.append(survivors)
-            counts[start:start + len(alive)] = alive
+        for lo in range(1, len(axes), _BLOCK):
             if not survivors:
                 break
+            alive = []
+            for p in _stage_factors(plane, axes, _born, lo, lo + _BLOCK).tolist():
+                survivors = binomial(survivors, p)
+                alive.append(survivors)
+                if not survivors:
+                    break
+            counts[lo:lo + len(alive)] = alive
     counts.flags.writeable = False
     return MonteCarloReport(config, counts)
 

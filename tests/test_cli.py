@@ -8,8 +8,10 @@ import math
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -574,25 +576,59 @@ class TestMain:
 
     def test_runs_without_a_helper_thread_load_no_thread_pool(self):
         # the pool module brings logging, queue and traceback along (~0.6 MB);
-        # only an MC run that starts a helper thread loads it
+        # no run loads it, not even one whose helper shares run on threads
         script = """if True:
-            import io, sys
+            import io, os, sys, threading
             import polcascade.cli as cli
             def loaded(where):
                 print(where, sorted({"concurrent.futures", "logging"} & set(sys.modules)))
             loaded("import")
+            os.sched_getaffinity = lambda pid: {0, 1}
+            os.cpu_count = lambda: 2
+            started, start = [], threading.Thread.start
+            threading.Thread.start = lambda thread: (started.append(thread), start(thread))[1]
             sys.stdout, out = io.StringIO(), sys.stdout
-            codes = [cli.main(["--filters", "0,45,90", "--mode", "compare"]),
-                     cli.main(["--filters", "0,45,90", "--mode", "mc", "--photons", "200000",
-                               "--workers", "1"])]
+            codes = [cli.main(["--filters", "0,45,90", "--mode", "compare"])]
+            for workers in ("1", "2"):
+                codes.append(cli.main(["--filters", "0,45,90", "--mode", "mc", "--photons", "200000",
+                                       "--workers", workers]))
             sys.stdout = out
             loaded("runs")
-            print(codes)
+            print(codes, len(started))
         """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=_cli_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "import []\nruns []\n[0, 0]\n"
+        # one helper thread, started by the --workers 2 run
+        assert proc.stdout == "import []\nruns []\n[0, 0, 0] 1\n"
+
+    def test_interrupt_exits_130_with_one_line(self, capsys, monkeypatch):
+        def interrupted(config, workers):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_monte_carlo", interrupted)
+        code = main(["--filters", "0,45,90", "--mode", "mc", "--photons", "10"])
+        captured = capsys.readouterr()
+        assert code == 130
+        assert captured.out == ""
+        assert captured.err == "polcascade: interrupted\n"
+
+    def test_sigint_stops_a_threaded_mc_run_within_2_s(self):
+        # 2e9 photons would take ~30 s; the child says when it is about to
+        # run main, and the signal comes once sampling is under way
+        script = "import sys, polcascade.cli as cli; print(flush=True); sys.exit(cli.main(sys.argv[1:]))"
+        argv = [sys.executable, "-c", script, "--filters", "0,45,90", "--mode", "mc",
+                "--photons", "2000000000", "--workers", "2"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env()
+        ) as proc:
+            assert proc.stdout.readline() == b"\n"
+            time.sleep(0.1)
+            sent = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=60) == 130
+            assert time.monotonic() - sent < 2
+            assert proc.stderr.read() == b"polcascade: interrupted\n"
 
     def test_mc_run_deterministic_output(self, capsys):
         argv = ["--filters", "0,45,90", "--mode", "mc", "--photons", "50000", "--seed", "11"]

@@ -1,10 +1,10 @@
 """Tests for the whole-stack engines and their mutual consistency."""
 
-import concurrent.futures
 import dataclasses
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -727,25 +727,17 @@ class TestMonteCarlo:
         assert engines._effective_workers(4, 10, None) == 1
 
     def test_pool_gets_capped_workers(self, monkeypatch):
-        # an inline stand-in for the thread pool: no thread is started
-        requested, shares = [], []
+        # the helpers are plain threads, each started once
+        started, shares = [], []
+        start = threading.Thread.start
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+        def recorded_start(thread):
+            started.append(thread)
+            start(thread)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        def recorded(config, p_first, lo, hi):
+        def recorded(config, p_first, lo, hi, stop):
             shares.append((lo, hi))
-            return count(config, p_first, lo, hi)
+            return count(config, p_first, lo, hi, stop)
 
         config = MonteCarloConfig(
             photon_count=10 * engines._CHUNK_SIZE + 1,
@@ -755,12 +747,12 @@ class TestMonteCarlo:
         )
         expected = run_monte_carlo(config)
         count = engines._first_stage_survivors
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
         monkeypatch.setattr(engines, "_first_stage_survivors", recorded)
         monkeypatch.setattr(engines.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert run_monte_carlo(config, workers=100_000) == expected
         # min(workers, chunks, CPUs) = 3 shares: the caller's and 2 helpers'
-        assert requested == [2]
+        assert len(started) == 2
         # contiguous runs that start on even photons and cover [0, n) once
         edges = sorted(shares)
         assert len(edges) == 3 and edges[0][0] == 0 and edges[-1][1] == config.photon_count
@@ -801,10 +793,10 @@ class TestMonteCarlo:
     def test_a_helper_share_error_reaches_the_caller(self, monkeypatch):
         count = engines._first_stage_survivors
 
-        def failing(config, p_first, lo, hi):
+        def failing(config, p_first, lo, hi, stop):
             if lo > 0:
                 raise RuntimeError("helper share failed")
-            return count(config, p_first, lo, hi)
+            return count(config, p_first, lo, hi, stop)
 
         config = MonteCarloConfig(
             photon_count=4 * engines._CHUNK_SIZE,
@@ -816,6 +808,90 @@ class TestMonteCarlo:
         monkeypatch.setattr(engines.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         with pytest.raises(RuntimeError, match="^helper share failed$"):
             run_monte_carlo(config, workers=2)
+
+    def test_many_shares_on_few_cores_keep_every_count(self, monkeypatch):
+        # 8 shares of 25 chunks on an 8-CPU mask, switching threads as often
+        # as the interpreter allows: a lost or doubled share changes a count
+        config = MonteCarloConfig(200_001, 12, PhotonInput.unpolarized(), stack_of(10, 40, 70))
+        expected = run_monte_carlo(config)
+        monkeypatch.setattr(engines, "_CHUNK_SIZE", 1000)
+        monkeypatch.setattr(engines.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert run_monte_carlo(config, workers=8) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _chunks_of_one_share(self, monkeypatch, counted_thread):
+        # 2 shares of 100 1000-photon chunks; each chunk of the share that
+        # `counted_thread(thread)` picks is logged and lasts 2 ms more, far
+        # longer than a failing share takes to set the stop event
+        chunks = []
+        screened = engines._screened_passes
+
+        def counted(*args):
+            if counted_thread(threading.current_thread()):
+                chunks.append(None)
+                time.sleep(0.002)
+            return screened(*args)
+
+        monkeypatch.setattr(engines, "_screened_passes", counted)
+        monkeypatch.setattr(engines, "_CHUNK_SIZE", 1000)
+        monkeypatch.setattr(engines.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return chunks
+
+    @staticmethod
+    def _wait_for(chunks, n):
+        deadline = time.monotonic() + 10
+        while len(chunks) < n:
+            assert time.monotonic() < deadline, "the other share never got under way"
+            time.sleep(0.001)
+
+    def test_an_interrupted_caller_stops_its_helper_within_one_chunk(self, monkeypatch):
+        caller = threading.current_thread()
+        chunks = self._chunks_of_one_share(monkeypatch, lambda thread: thread is not caller)
+        raised_at = []
+        count = engines._first_stage_survivors
+
+        def interrupted(config, p_first, lo, hi, stop):
+            if lo > 0:
+                return count(config, p_first, lo, hi, stop)
+            self._wait_for(chunks, 2)
+            raised_at.append(len(chunks))
+            raise KeyboardInterrupt
+
+        config = MonteCarloConfig(200_000, 8, PhotonInput.unpolarized(), stack_of(10, 40))
+        monkeypatch.setattr(engines, "_first_stage_survivors", interrupted)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_monte_carlo(config, workers=2)
+        # the helper was joined, after at most one more chunk
+        assert threading.active_count() == threads
+        assert raised_at[0] <= len(chunks) <= raised_at[0] + 1
+
+    def test_a_failing_helper_stops_share_0_within_one_chunk(self, monkeypatch):
+        caller = threading.current_thread()
+        chunks = self._chunks_of_one_share(monkeypatch, lambda thread: thread is caller)
+        failed_at = []
+        error = RuntimeError("helper share failed")
+        count = engines._first_stage_survivors
+
+        def failing(config, p_first, lo, hi, stop):
+            if lo == 0:
+                return count(config, p_first, lo, hi, stop)
+            self._wait_for(chunks, 2)
+            failed_at.append(len(chunks))
+            raise error
+
+        config = MonteCarloConfig(200_000, 8, PhotonInput.unpolarized(), stack_of(10, 40))
+        monkeypatch.setattr(engines, "_first_stage_survivors", failing)
+        with pytest.raises(RuntimeError) as raised:
+            run_monte_carlo(config, workers=2)
+        # the helper's own exception, after at most one more chunk of share 0
+        assert raised.value is error
+        assert failed_at[0] <= len(chunks) <= failed_at[0] + 1
 
     def test_stage_survival_is_binomial_over_many_seeds(self):
         # given the count before it, each stage's count is Binomial(count, p_j):
@@ -843,8 +919,8 @@ class TestMonteCarlo:
             assert 1e-4 < stats.chi2.cdf(chi2, len(seeds)) < 1.0 - 1e-4
 
     def test_memory_is_bounded_by_the_chunk_not_the_stack(self):
-        # one double per photon per filter in a 65 536-photon chunk would be
-        # ~160 MB for this stack
+        # one double per photon per filter in a 32 768-photon chunk would be
+        # ~80 MB for this stack
         config = MonteCarloConfig(
             photon_count=70_000,
             seed=3,
@@ -859,6 +935,18 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert report.transmitted_count > 0
         assert peak < 8 * 2**20
+
+    def test_the_chain_walks_only_the_blocks_photons_reach(self):
+        # 1000 photons die out within the first block of 10^6 random filters:
+        # the run holds its counts column, and stage probabilities and draws
+        # for one block (a whole probability column would be 8n bytes more)
+        n = 1_000_000
+        stack = FilterStack(np.random.default_rng(5).uniform(0.0, np.pi, n))
+        config = MonteCarloConfig(1000, 7, PhotonInput.unpolarized(), stack)
+        report, peak = _traced_peak(lambda: run_monte_carlo(config))
+        counts = report.per_stage_survivor_counts
+        assert counts[0] > 0 and not counts[engines._BLOCK:].any()
+        assert peak < 8 * n + 64 * engines._BLOCK, peak
 
     def test_report_invariants(self):
         rng = np.random.default_rng(31)
