@@ -47,6 +47,7 @@ from .engines import (
     PhotonInput,
     _PHOTONS,
     _SEEDS,
+    _running_product,
     compare,
     run_classical,
     run_monte_carlo,
@@ -347,6 +348,31 @@ def _write(table: _Table, output_format: str) -> Iterator[str]:
         yield line + "\n"
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class _RunningProduct:
+    """The running product of `factors`, a column :func:`text_rows` makes a
+    block of rows at a time.
+
+    It holds the product before each block of `_BLOCK_ROWS` rows, one float
+    a block, so a block is made from its own factors and carry, in any
+    order, with the bits of one sequential product over the whole column.
+    """
+
+    factors: np.ndarray
+    carries: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # each block's carry is the last product of the block before
+        object.__setattr__(self, "carries", np.ones(-(-len(self.factors) // _BLOCK_ROWS)))
+        for k in range(1, len(self.carries)):
+            self.carries[k] = self((k - 1) * _BLOCK_ROWS, k * _BLOCK_ROWS)[-1]
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        start = lo - lo % _BLOCK_ROWS  # the block that holds row lo
+        carry = self.carries[lo // _BLOCK_ROWS]
+        return _running_product(self.factors[start:hi], carry, np.empty(hi - start))[lo - start:]
+
+
 def render_trace(
     result: CascadeTrace | MonteCarloReport, output_format: str, out: TextIO
 ) -> None:
@@ -360,8 +386,9 @@ def render_trace(
 
 
 def _cascade_table(trace: CascadeTrace) -> _Table:
-    columns = (trace.classical_intensity_after, trace.stage_pass_probability,
-               trace.cumulative_probability)
+    probs = trace.stage_pass_probability
+    columns = (trace.classical_intensity_after, probs,
+               None if probs is None else _RunningProduct(probs))
     labels = ("intensity ", "pass prob ", "cumulative ")
     final = _num(trace.final_transmitted_fraction)
     return _Table(
@@ -415,12 +442,13 @@ def render_comparison(
     The output goes to `out` as in :func:`render_trace`.
     """
     verdict = "pass" if report.passed else "fail"
-    intensity, cumulative = classical.classical_intensity_after, quantum.cumulative_probability
+    intensity, probs = classical.classical_intensity_after, quantum.stage_pass_probability
+    cumulative = _RunningProduct(probs)
     final, quantum_final = (_num(t.final_transmitted_fraction) for t in (classical, quantum))
     max_diff, tolerance = _num(report.max_difference), _num(report.tolerance)
     table = _Table(
         stack=classical.stack,
-        tsv_columns=(intensity, quantum.stage_pass_probability, cumulative),
+        tsv_columns=(intensity, probs, cumulative),
         tsv_footer=[
             f"# final_fraction={final}",
             f"# compare={verdict} max_diff={max_diff} tolerance={tolerance}",

@@ -118,11 +118,15 @@ def angle_from_degrees(degrees: float) -> Angle:
     return Angle(math.radians(_real(degrees, "degrees")))
 
 
+# the slot's own setter, which the frozen __setattr__ does not guard
+_set_radians = Angle.__dict__["radians"].__set__
+
+
 def _canonical_angle(radians: float) -> Angle:
     # an Angle of radians already in [0, pi), which Angle.__post_init__ would
     # return unchanged; skipping it halves the cost of FilterStack.axes
     angle = object.__new__(Angle)
-    object.__setattr__(angle, "radians", radians)
+    _set_radians(angle, radians)
     return angle
 
 

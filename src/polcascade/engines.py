@@ -19,9 +19,14 @@ stages) and a kernel turns the two into the stage's factor:
   photons in stream order: a seed gives the same bits at any worker count.
 
 A :class:`CascadeTrace` holds one array per column an engine produces; its
-`stages` are a per-row view. :func:`compare` reconciles the classical
-intensity fraction with the quantum cumulative probability; the two agree
-because transmitted intensity is proportional to the photon transmission
+`stages` are a per-row view. A quantum trace stores only its stage
+probabilities. Their running product, the cumulative probability, is
+made where it is read: whole by the trace's property, and a block at a
+time by `compare` and the CLI's render, with :func:`_running_product`,
+which carries it across each block edge with the roundings of one product
+over the whole column. :func:`compare` reconciles the classical intensity
+fraction with the quantum cumulative probability; the two agree because
+transmitted intensity is proportional to the photon transmission
 probability.
 
 Each engine holds its result columns and, beside them, working arrays of
@@ -36,6 +41,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -126,7 +132,9 @@ class CascadeTrace:
     """End-to-end result of a classical or exact quantum run.
 
     Per-stage results are columns aligned with `stack`, one float64 array
-    each, and None for a column the engine does not produce.
+    each, and None for a column the engine does not produce. The
+    cumulative probability is not stored: it is computed from the stage
+    probabilities when read.
     """
 
     input_description: ClassicalBeam | PhotonInput
@@ -134,7 +142,13 @@ class CascadeTrace:
     final_transmitted_fraction: float
     classical_intensity_after: np.ndarray | None = None
     stage_pass_probability: np.ndarray | None = None
-    cumulative_probability: np.ndarray | None = None
+
+    @property
+    def cumulative_probability(self) -> np.ndarray | None:
+        """The running product of the stage probabilities, a new array on each read."""
+        probs = self.stage_pass_probability
+        # a sequential product: the roundings of the per-filter loop
+        return None if probs is None else np.multiply.accumulate(probs)
 
     @property
     def stages(self) -> tuple[StageRecord, ...]:
@@ -145,8 +159,10 @@ class CascadeTrace:
             self.stage_pass_probability,
             self.cumulative_probability,
         )
-        values = [[None] * n if c is None else c.tolist() for c in columns]
-        return tuple(map(StageRecord._make, zip(range(1, n + 1), self.stack.axes, *values)))
+        values = [repeat(None, n) if c is None else c.tolist() for c in columns]
+        # each row made in C, as StageRecord._make makes it, less its length check
+        rows = zip(range(1, n + 1), self.stack.axes, *values)
+        return tuple(map(tuple.__new__, repeat(StageRecord), rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,10 +313,28 @@ def _born(planes: np.ndarray, out: np.ndarray) -> None:
     # the dot products; the spent h holds the v products
     np.multiply(h[1:], h[:-1], out=out)
     out += np.multiply(v[1:], v[:-1], out=h[1:])
-    # clamped to [-1, 1] in place; np.clip costs more than both calls
-    np.maximum(out, -1.0, out=out)
-    np.minimum(out, 1.0, out=out)
+    # squared, then capped at 1: the bits of clamping to [-1, 1] first, since
+    # rounding is monotonic. If |dot| > 1, dot * dot >= 1 and the cap gives
+    # exactly 1.0, the square of the clamped +-1; if |dot| <= 1, dot * dot
+    # <= 1 and the cap leaves it as it is
     np.multiply(out, out, out=out)
+    np.minimum(out, 1.0, out=out)
+
+
+def _running_product(factors: np.ndarray, carry: float, out: np.ndarray) -> np.ndarray:
+    """Write carry * f0, then that times f1, and so on, to `out` and return it.
+
+    These are the roundings of one sequential product over the whole
+    column, so a column made a block at a time, each block's carry being
+    the last product of the block before, has its bits: the first block's
+    carry, 1.0, is exact, as is 1.0 * f0. `out` may be `factors`.
+    """
+    if carry != 1.0:  # a carry of 1.0 changes no bit, so it needs no step
+        if out is not factors:
+            out[1:] = factors[1:]
+        out[:1] = factors[:1] * carry
+        factors = out
+    return np.multiply.accumulate(factors, out=out)
 
 
 def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
@@ -313,18 +347,13 @@ def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
     """
     if input.intensity:  # a dark beam (0) has fraction 0; any other must be normal
         _real(input.intensity, "intensity", sys.float_info.min)
-    # one array, filled in place: each stage's factor, the first times the
-    # input intensity, then their running product
+    # one array, filled in place: each stage's factor, then their running
+    # product after the input intensity, I0 * f1 first, then * f2 and so on
     intensities = _stage_factors(input.plane, stack.radians, _malus)
-    n = len(intensities)
-    if n:
-        intensities[0] *= input.intensity
-    # a sequential running product: the same roundings as the per-filter
-    # loop, I0 * f1 first, then * f2 and so on
-    np.multiply.accumulate(intensities, out=intensities)
+    _running_product(intensities, input.intensity, intensities)
     if input.intensity > 0.0:
         # an empty stack transmits unchanged
-        fraction = float(intensities[-1]) / input.intensity if n else 1.0
+        fraction = float(intensities[-1]) / input.intensity if len(intensities) else 1.0
     else:
         fraction = 0.0
     return CascadeTrace(input, stack, fraction, intensities)
@@ -344,15 +373,19 @@ def run_quantum_exact(input: PhotonInput, stack: FilterStack) -> CascadeTrace:
     cumulative probability is exactly 0, and no projection error is raised.
     """
     probs = _stage_factors(input.angle, stack.radians, _born)
-    # the extinction cut: from the first stage below the tolerance on, all 0
+    # a block at a time: the extinction cut, from the first stage below the
+    # tolerance on all 0, and the running product up to it, whose last value
+    # is the final fraction; the cumulative column itself is not kept
+    fraction = 1.0  # an empty stack transmits unchanged
     for lo in range(0, len(probs), _BLOCK):
-        low = (probs[lo:lo + _BLOCK] < ZERO_PROBABILITY_TOL).nonzero()[0]
+        block = probs[lo:lo + _BLOCK]
+        low = (block < ZERO_PROBABILITY_TOL).nonzero()[0]
         if len(low):
             probs[lo + low[0]:] = 0.0
+            fraction = 0.0
             break
-    cumulative = np.multiply.accumulate(probs)
-    fraction = float(cumulative[-1]) if len(cumulative) else 1.0
-    return CascadeTrace(input, stack, fraction, None, probs, cumulative)
+        fraction = _running_product(block, fraction, np.empty(len(block)))[-1]
+    return CascadeTrace(input, stack, float(fraction), None, probs)
 
 
 def wilson_interval_95(successes: int, trials: int) -> tuple[float, float]:
@@ -589,22 +622,24 @@ def compare(
         raise ComparisonDomainError("traces describe different filter stacks")
     if classical.classical_intensity_after is None:
         raise ComparisonDomainError("classical trace is missing stage intensities")
-    if quantum.cumulative_probability is None:
+    if quantum.stage_pass_probability is None:
         raise ComparisonDomainError("quantum trace is missing stage probabilities")
 
     intensity_in = classical.input_description.intensity
     if intensity_in == 0.0:
         raise ComparisonDomainError("classical input is dark, so it has no transmitted fraction")
-    # the largest |fraction - cumulative|, a block of stages at a time; the
-    # last stage's is the final difference, with the same division and
+    # the largest |fraction - cumulative|, a block of stages at a time, the
+    # cumulative probability carried across each block edge; the last
+    # stage's is the final difference, with the same division and
     # subtraction, so the fold starts from 0
-    intensities = classical.classical_intensity_after
-    cumulative = quantum.cumulative_probability
-    max_diff = 0.0
-    for lo in range(0, len(intensities), _BLOCK):
-        hi = lo + _BLOCK
-        block = _differences(intensities[lo:hi], intensity_in, cumulative[lo:hi])
-        max_diff = np.maximum.reduce(block, initial=max_diff)
+    intensities, probs = classical.classical_intensity_after, quantum.stage_pass_probability
+    max_diff, carry = 0.0, 1.0
+    for lo in range(0, len(probs), _BLOCK):
+        block = probs[lo:lo + _BLOCK]
+        cumulative = _running_product(block, carry, np.empty(len(block)))
+        diffs = _differences(intensities[lo:lo + _BLOCK], intensity_in, cumulative)
+        max_diff = np.maximum.reduce(diffs, initial=max_diff)
+        carry = cumulative[-1]
     return ComparisonReport(classical, quantum, float(max_diff), tolerance)
 
 

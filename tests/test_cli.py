@@ -1213,25 +1213,38 @@ class TestRenderMemory:
             assert sink.lines == n + (3 if fmt == "tsv" else 2)
             assert peak < 200 * BLOCK, (fmt, peak)
 
-    def test_whole_run_peak_is_bounded_by_the_stack(self, tmp_path):
+    def test_whole_run_peak_is_bounded_by_the_stack(self, tmp_path, monkeypatch):
         # main streams its output, so the peak scales with the stack, not
-        # with the ~80 bytes a filter of output: the five columns a compare
-        # keeps (the spec's degrees, the stack's radians, the classical
-        # intensities, the quantum stage and cumulative probabilities), 8
-        # bytes a filter each, and one render block
+        # with the ~80 bytes a filter of output. Reading the stack file holds
+        # its bytes and its text at once, ~37 bytes a filter here, under five
+        # columns of 8 bytes a filter and one render block. After that, a
+        # compare keeps four such columns (the spec's degrees, the stack's
+        # radians, the classical intensities, the quantum stage
+        # probabilities) and one render block; the cumulative probabilities
+        # are made a block at a time
         n = 100_000
         degrees = np.cumsum(np.random.default_rng(5).normal(0.0, 0.2, n))
         path = tmp_path / "walk.txt"
         path.write_text("".join(f"{a!r}\n" for a in degrees.tolist()))
+        parse_spec, parse_peaks = cli.parse_spec, []
+
+        def parse_then_reset_peak(argv):
+            spec = parse_spec(argv)
+            parse_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return spec
+
+        monkeypatch.setattr(cli, "parse_spec", parse_then_reset_peak)
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
                 code = main(["--stack-file", str(path), "--mode", "compare"])
-                _, peak = tracemalloc.get_traced_memory()
+                _, run_peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         assert code == 0
-        assert peak < 5 * 8 * n + 200 * BLOCK, peak
+        assert parse_peaks[0] < 5 * 8 * n + 200 * BLOCK, parse_peaks
+        assert run_peak < 4 * 8 * n + 200 * BLOCK, run_peak
 
 
 def _same(a, b):

@@ -1,6 +1,7 @@
 """Tests for the whole-stack engines and their mutual consistency."""
 
 import dataclasses
+import functools
 import math
 import sys
 import threading
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polcascade import engines
+from polcascade import cli, engines
 from polcascade.core import (
     Angle,
     ClassicalBeam,
@@ -330,6 +331,60 @@ class TestBlockEdges:
         assert not probs[cut:].any() and not cumulative[cut:].any()
         assert quantum.final_transmitted_fraction == 0.0
 
+    @staticmethod
+    def running_stack(case):
+        # the photon input and stack of each case; a number is a walk's length
+        if isinstance(case, int):
+            return PhotonInput.unpolarized(), FilterStack.from_degrees(walk_degrees(case))
+        if case == "cut-straddling-an-edge":  # filters BLOCK - 1 and BLOCK are crossed
+            degrees = walk_degrees(2 * BLOCK + 1)
+            degrees[BLOCK] = degrees[BLOCK - 1] + 90.0
+            return PhotonInput.pure_ket(deg(30)), FilterStack.from_degrees(degrees)
+        # equal steps from the input plane, each passing cos^2(step): after
+        # BLOCK stages the product is subnormal, ~1e-312, or has underflowed
+        # to 0 (0.25 a stage), with no stage below the extinction cut
+        step = {"subnormal-carry": math.acos(math.exp(math.log(1e-312) / (2 * BLOCK))),
+                "zero-carry": math.pi / 3}[case]
+        return PhotonInput.pure_ket(deg(0)), FilterStack(step * np.arange(1, 2 * BLOCK + 2))
+
+    @pytest.mark.parametrize("case", [*SIZES, "cut-straddling-an-edge", "subnormal-carry",
+                                      "zero-carry"])
+    def test_every_running_product_is_one_whole_accumulate(self, case):
+        # the trace's cumulative column, the blocks compare carries it across
+        # and the render column's blocks, made in reverse order, all have
+        # the bits of one accumulate over the whole column
+        photons, stack = self.running_stack(case)
+        quantum = run_quantum_exact(photons, stack)
+        whole = np.multiply.accumulate(quantum.stage_pass_probability)
+        if case == "subnormal-carry":  # the product carried into the second block
+            assert 0.0 < whole[BLOCK - 1] < sys.float_info.min
+        elif case == "zero-carry":
+            assert not whole[BLOCK // 2:].any() and np.all(whole[:BLOCK // 8] > 0.0)
+        elif case == "cut-straddling-an-edge":
+            assert whole[BLOCK - 1] > 0.0 and not whole[BLOCK:].any()
+        assert quantum.cumulative_probability.tobytes() == whole.tobytes()
+        assert quantum.final_transmitted_fraction == whole[-1]
+
+        classical = run_classical(ClassicalBeam(1.0, photons.angle), stack)
+        blocks, differences = [], engines._differences
+
+        def spy(intensities, intensity_in, cumulative):
+            blocks.append(cumulative.copy())
+            return differences(intensities, intensity_in, cumulative)
+
+        with mock.patch.object(engines, "_differences", spy):
+            compare(classical, quantum, 1e-9)
+        assert len(blocks) == -(-len(stack) // BLOCK)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+        column = cli._RunningProduct(quantum.stage_pass_probability)
+        rows, n = cli._BLOCK_ROWS, len(stack)
+        made = {lo: column(lo, min(lo + rows, n)) for lo in reversed(range(0, n, rows))}
+        assert np.concatenate([made[lo] for lo in sorted(made)]).tobytes() == whole.tobytes()
+        # and rows up to or across a block edge, from inside the block before it
+        hi = min(rows + 3, n)
+        assert column(rows - 3, hi).tobytes() == whole[rows - 3:hi].tobytes()
+
     @settings(max_examples=30)
     @given(
         degrees=st.lists(oracle_angles, min_size=0, max_size=40),
@@ -439,9 +494,10 @@ class TestEngineMemory:
         _, peak = _traced_peak(runs[0])
         assert peak < self.COLUMN + self.SLACK, peak
 
-    def test_quantum_holds_its_two_columns_and_one_temporary(self, runs):
+    def test_quantum_holds_one_column_and_one_temporary(self, runs):
+        # the cumulative column is computed when read, so it is not held
         _, peak = _traced_peak(runs[1])
-        assert peak < 2 * self.COLUMN + self.SLACK, peak
+        assert peak < self.COLUMN + self.SLACK, peak
 
     def test_compare_holds_its_differences_and_one_temporary(self, runs):
         classical, quantum = runs[0](), runs[1]()
@@ -509,7 +565,10 @@ class TestCompare:
             "classical_intensity_after": run_classical(ClassicalBeam.unpolarized(1.0), stack),
             "cumulative_probability": run_quantum_exact(PhotonInput.unpolarized(), stack),
         }
-        traces[column] = dataclasses.replace(traces[column], **{column: None})
+        # a quantum trace computes its cumulative column from its stage probabilities
+        stored = {"cumulative_probability": "stage_pass_probability"}.get(column, column)
+        traces[column] = dataclasses.replace(traces[column], **{stored: None})
+        assert getattr(traces[column], column) is None
         classical, quantum = traces.values()
         with pytest.raises(ComparisonDomainError, match=f"^{message}$"):
             compare(classical, quantum, 1e-9)
@@ -1075,15 +1134,21 @@ def golden_config(plane, first, seed, photons):
     return MonteCarloConfig(photons, seed, photon_input, stack_of(first, first + 60, first + 120))
 
 
+@functools.cache
+def golden_report(plane, first, seed, photons, workers):
+    # each golden run is made once a worker count, for every test that reads
+    # it; a report is frozen and its counts are read-only
+    return run_monte_carlo(golden_config(plane, first, seed, photons), workers=workers)
+
+
 class TestGoldenCounts:
     @pytest.mark.parametrize(
         "plane,first,seed,photons",
         [(*key, *run) for key, runs in MC_GOLDEN.items() for run in runs],
     )
     def test_counts_are_pinned(self, plane, first, seed, photons):
-        config = golden_config(plane, first, seed, photons)
         for workers in (1, 2):
-            report = run_monte_carlo(config, workers=workers)
+            report = golden_report(plane, first, seed, photons, workers)
             counts = report.per_stage_survivor_counts.tolist()
             assert tuple(counts) == MC_GOLDEN[plane, first][seed, photons]
 
@@ -1117,8 +1182,7 @@ class TestMonteCarloReport:
     @pytest.mark.parametrize("plane,first", list(MC_GOLDEN))
     def test_golden_runs_at_1_2_and_3_workers(self, plane, first):
         for (seed, photons), counts in MC_GOLDEN[plane, first].items():
-            config = golden_config(plane, first, seed, photons)
-            reports = [run_monte_carlo(config, workers=w) for w in (1, 2, 3)]
+            reports = [golden_report(plane, first, seed, photons, w) for w in (1, 2, 3)]
             for report in reports:
                 assert_statistics(report, counts[-1])
             assert reports[0] == reports[1] == reports[2]
