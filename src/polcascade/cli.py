@@ -16,7 +16,8 @@ and :func:`run_experiment` write each block to the text stream they are
 given as it is made, and :func:`main` passes stdout, so a run holds one
 block of output, never all of it. The stack travels as float64 arrays, from
 :func:`parse_stack_text` through :class:`ExperimentSpec` to the engines;
-:func:`parse_spec` lets the stack file's text go before the spec is built.
+:func:`parse_spec` reads the stack file a piece at a time, and :func:`main`
+lets the spec, which holds the stack's degrees, go before the engines run.
 """
 
 from __future__ import annotations
@@ -26,17 +27,19 @@ from __future__ import annotations
 # freed, which keeps a CLI run's peak RSS ~0.07 MB lower
 from ._cells import num as _num, text_rows
 
-import argparse
+import io
 import math
 import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from typing import TextIO
 
 import numpy as np
 
+from ._flags import _FIELDS, _FORMATS, _MODES, UsageError, _build_parser
 from .core import Angle, ClassicalBeam, FilterStack, angle_from_degrees
 from .core import _ByValue, _angle_array, _integer, _real
 from .engines import (
@@ -54,22 +57,6 @@ from .engines import (
     run_quantum_exact,
 )
 
-_MODES = ("classical", "quantum", "mc", "compare")
-_FORMATS = ("tsv", "text")
-
-# each flag and the ExperimentSpec field it sets, in to_argv's order
-_FIELDS = {
-    "--filters": "filters_deg",
-    "--input": "input_angle_deg",
-    "--intensity": "intensity",
-    "--mode": "mode",
-    "--photons": "photons",
-    "--seed": "seed",
-    "--tolerance": "tolerance",
-    "--format": "output_format",
-    "--workers": "workers",
-}
-
 _TSV_HEADER = "stage\taxis_deg\tclassical_intensity\tstage_prob\tcumulative_prob"
 
 # rows laid out at a time: bounds the cells and row bytes alive at once
@@ -77,10 +64,6 @@ _BLOCK_ROWS = 2048
 
 # stack-file characters split into lines at a time: bounds the line strings alive at once
 _PARSE_CHARS = 1 << 16
-
-
-class UsageError(ValueError):
-    """Bad command line or stack file; maps to exit code 2."""
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -111,11 +94,9 @@ class ExperimentSpec(_ByValue):
         if self.output_format not in _FORMATS:
             raise UsageError(f"unknown format {self.output_format!r}")
         try:
-            filters = _angle_array(self.filters_deg).copy()
+            filters = _angle_array(self.filters_deg)
         except ValueError as exc:
             raise UsageError(f"--filters: {exc}") from None
-        filters.flags.writeable = False
-        object.__setattr__(self, "filters_deg", filters)
         # the photon range is checked only where photons are sampled
         photon_range = _PHOTONS if self.mode == "mc" else ()
         try:
@@ -137,6 +118,11 @@ class ExperimentSpec(_ByValue):
             object.__setattr__(self, "stack", FilterStack.from_degrees(filters))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        # copied once the stack is built, so the stack's working arrays and
+        # the copy are never alive together
+        filters = filters.copy()
+        filters.flags.writeable = False
+        object.__setattr__(self, "filters_deg", filters)
 
     def _key(self) -> tuple:
         # -0.0 + 0.0 is 0.0, so stacks that compare equal hash alike
@@ -164,79 +150,17 @@ class ExperimentSpec(_ByValue):
         return argv
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse normally exits the process on bad flags; surface the message
-    # as an exception instead so callers control the exit
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
-
-
-def _number(token: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {token!r}") from None
-
-
-def _whole_number(token: str) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {token!r}") from None
-
-
-def _angle_list(token: str) -> tuple[float, ...]:
-    return tuple(map(_number, token.split(",")))
-
-
-def _input_angle(token: str) -> float | None:
-    if token == "unpolarized":
-        return None
-    if token.startswith("linear:"):
-        return _number(token[len("linear:"):])
-    raise argparse.ArgumentTypeError(f"expected 'unpolarized' or 'linear:<deg>', got {token!r}")
-
-
-def _build_parser() -> _Parser:
-    # a flag left out is missing from the namespace, so the spec's default applies
-    parser = _Parser(
-        prog="polcascade",
-        description=(
-            "Simulate light transmission through a stack of ideal linear "
-            "polarizers with classical, exact quantum, and Monte Carlo engines."
-        ),
-        argument_default=argparse.SUPPRESS,
-    )
-
-    def add(flag: str, **options) -> None:
-        # --stack-file sets no field (parse_spec reads the file), so it keeps stack_file
-        parser.add_argument(flag, dest=_FIELDS.get(flag), **options)
-
-    add("--filters", type=_angle_list, metavar="A,B,C",
-        help="comma-separated polarizer axis angles in degrees, in order")
-    add("--stack-file", metavar="PATH",
-        help="file with one axis angle in degrees per line (# comments allowed); "
-        "--filters takes precedence")
-    add("--input", type=_input_angle, metavar="KIND",
-        help="'unpolarized' or 'linear:<deg>' (default: unpolarized)")
-    add("--intensity", type=_number, help="input intensity > 0 (default 1.0)")
-    add("--mode", required=True, choices=_MODES,
-        help="which engine to run, or 'compare' for classical vs quantum")
-    add("--photons", type=_whole_number, help="photon count for mc mode (default 1000000)")
-    add("--seed", type=_whole_number, help="Monte Carlo seed, unsigned 64-bit (default 42)")
-    add("--tolerance", type=_number, help="compare-mode tolerance (default 1e-9)")
-    add("--format", choices=_FORMATS, help="output format (default tsv)")
-    add("--workers", type=_whole_number,
-        help="worker count for mc mode; results do not depend on it (default 1)")
-    return parser
-
-
-def _code_lines(text: str) -> Iterator[list[str]]:
+def _code_lines(text: str | TextIO) -> Iterator[list[str]]:
     # the lines of `text`, each cut at its first `#`, one piece's list at a
     # time; a piece ends just after a "\n", which always ends a line for
     # str.splitlines, so the pieces split into the lines of the whole text.
-    # Neither a piece nor its lines is bound to a name here, so each is let
-    # go before the next piece is split.
+    # A str's pieces and their lines are bound to no name here, so each is
+    # let go before the next piece is split. A file's piece is what one
+    # read of _PARSE_CHARS characters gives, and the rest of its last line.
+    if not isinstance(text, str):
+        while piece := text.read(_PARSE_CHARS) + text.readline():
+            yield from _code_lines(piece)
+        return
     start = 0
     while start < len(text):
         end = text.find("\n", start + _PARSE_CHARS) + 1 or len(text)
@@ -247,13 +171,16 @@ def _code_lines(text: str) -> Iterator[list[str]]:
         start = end
 
 
-def parse_stack_text(text: str, source: str = "stack file") -> np.ndarray:
+def parse_stack_text(text: str | TextIO, source: str = "stack file") -> np.ndarray:
     """Parse stack-file text, one angle in degrees per line, to a float64 array.
 
+    `text` is a `str` or a text file open for reading, which is read in
+    pieces from where it stands, and from there again if a line is bad.
     `#` begins a comment and blank lines are ignored. Each angle is read
     with `float()` and must be finite. The text is split into lines one
     piece at a time, so only one piece's line strings are alive at once.
     """
+    start = None if isinstance(text, str) else text.tell()
     try:
         # float() strips the same whitespace as str.strip()
         lines = chain.from_iterable(_code_lines(text))
@@ -263,6 +190,8 @@ def parse_stack_text(text: str, source: str = "stack file") -> np.ndarray:
     except ValueError:
         pass
     # scan again only to name the first line that is not a finite angle
+    if start is not None:
+        text.seek(start)
     for lineno, line in enumerate(map(str.strip, chain.from_iterable(_code_lines(text))), start=1):
         try:
             if not line or math.isfinite(float(line)):
@@ -271,6 +200,16 @@ def parse_stack_text(text: str, source: str = "stack file") -> np.ndarray:
             pass
         raise UsageError(f"{source} line {lineno}: not an angle in degrees: {line!r}")
     raise AssertionError("a line failed the first scan but not the second")
+
+
+def _decode_error(exc: UnicodeDecodeError, offset: int) -> str:
+    # the codec's own words for a decode error whose bytes start `offset`
+    # bytes into the file: a text file decodes a buffer at a time, and the
+    # error counts from the buffer's start
+    start, end = offset + exc.start, offset + exc.end
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end - start == 1
+             else f"bytes in position {start}-{end - 1}")
+    return f"{exc.encoding!r} codec can't decode {where}: {exc.reason}"
 
 
 def parse_spec(argv: list[str] | None) -> ExperimentSpec:
@@ -283,12 +222,19 @@ def parse_spec(argv: list[str] | None) -> ExperimentSpec:
     if "filters_deg" not in args and stack_file is not None:
         try:
             with open(stack_file, encoding="utf-8") as fh:
-                text = fh.read().removeprefix("\ufeff")
+                # a bad line is named by reading the file again, so a pipe is read whole
+                text = fh if fh.seekable() else io.StringIO(fh.read())
+                # a byte order mark, which Windows editors write, is skipped
+                if text.read(1) != "\ufeff":
+                    text.seek(0)
+                try:
+                    args["filters_deg"] = parse_stack_text(text, source=stack_file)
+                except UnicodeDecodeError as exc:
+                    # reported below, like any file that cannot be read
+                    raise OSError(_decode_error(exc, fh.buffer.tell() - len(exc.object))) from None
+                del text  # a pipe's text is let go before the spec copies the angles
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"--stack-file: cannot read {stack_file!r}: {exc}") from None
-        args["filters_deg"] = parse_stack_text(text, source=stack_file)
-        # the text, ~18 bytes a filter, is let go before the spec copies the angles
-        del text
     return ExperimentSpec(**args)
 
 
@@ -485,26 +431,34 @@ def run_experiment(
     spec: ExperimentSpec, out: TextIO
 ) -> CascadeTrace | MonteCarloReport | ComparisonReport:
     """Execute the requested mode, rendering its report to `out`; returns the result."""
-    stack, angle = spec.stack, spec.input_angle
-    if spec.mode == "compare":
-        classical = run_classical(ClassicalBeam(spec.intensity, angle), stack)
+    return _run(_run_inputs(spec), out)
+
+
+# what a run takes from its spec, all but the degrees; a caller that passes
+# a spec it holds nowhere else lets the spec go when this returns
+_run_inputs = attrgetter("mode", "stack", "input_angle", "intensity", "photons", "seed",
+                         "tolerance", "output_format", "workers")
+
+
+def _run(inputs: tuple, out: TextIO) -> CascadeTrace | MonteCarloReport | ComparisonReport:
+    # the engines and renderers are looked up on the module on every call,
+    # so a caller can replace them
+    mode, stack, angle, intensity, photons, seed, tolerance, output_format, workers = inputs
+    if mode == "compare":
+        classical = run_classical(ClassicalBeam(intensity, angle), stack)
         quantum = run_quantum_exact(PhotonInput(angle), stack)
-        report = compare(classical, quantum, spec.tolerance)
-        render_comparison(classical, quantum, report, spec.output_format, out)
+        report = compare(classical, quantum, tolerance)
+        render_comparison(classical, quantum, report, output_format, out)
         return report
-    if spec.mode == "classical":
-        result = run_classical(ClassicalBeam(spec.intensity, angle), stack)
-    elif spec.mode == "quantum":
+    if mode == "classical":
+        result = run_classical(ClassicalBeam(intensity, angle), stack)
+    elif mode == "quantum":
         result = run_quantum_exact(PhotonInput(angle), stack)
     else:
-        config = MonteCarloConfig(
-            photon_count=spec.photons,
-            seed=spec.seed,
-            input=PhotonInput(angle),
-            stack=stack,
-        )
-        result = run_monte_carlo(config, workers=spec.workers)
-    render_trace(result, spec.output_format, out)
+        config = MonteCarloConfig(photon_count=photons, seed=seed, input=PhotonInput(angle),
+                                  stack=stack)
+        result = run_monte_carlo(config, workers=workers)
+    render_trace(result, output_format, out)
     return result
 
 
@@ -535,7 +489,11 @@ def main(argv: list[str] | None = None) -> int:
     """
     out = sys.stdout
     try:
-        result = run_experiment(parse_spec(argv), out)
+        # the spec is let go as soon as its run inputs are out, so its degrees
+        # are not held while the engines and the render run; a `del` inside
+        # run_experiment would not do it on Python 3.10, where a caller holds
+        # its call's arguments until the call returns
+        result = _run(_run_inputs(parse_spec(argv)), out)
         out.flush()
     except UsageError as exc:
         print(f"polcascade: error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import zlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -162,11 +163,12 @@ def _angle_array(values: object) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class FilterStack(_ByValue):
+class FilterStack:
     """Ordered polarizer axes; an empty stack transmits unchanged.
 
     `radians` is one read-only float64 array, each axis reduced to
-    [0, pi) exactly as :class:`Angle` reduces a single value.
+    [0, pi) exactly as :class:`Angle` reduces a single value. Stacks
+    compare and hash by value, reading the array in place.
     """
 
     radians: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -193,9 +195,15 @@ class FilterStack(_ByValue):
     def __len__(self) -> int:
         return len(self.radians)
 
-    def _key(self) -> tuple:
-        # reduced to [0, pi), the angles hold no -0.0, so equal bytes are equal stacks
-        return (self.radians.tobytes(),)
+    def __eq__(self, other: object) -> bool:
+        # reduced to [0, pi), the angles hold no -0.0 and no nan, so equal
+        # elements are equal bytes, and equal stacks hash alike
+        return self is other or (
+            type(other) is type(self) and np.array_equal(self.radians, other.radians)
+        )
+
+    def __hash__(self) -> int:
+        return zlib.crc32(self.radians)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,6 +1,7 @@
 """Unit tests for the single-filter physics primitives and the public API."""
 
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -184,6 +185,25 @@ class TestFilterStack:
         # element by element
         assert (stack == stack.radians) is False
         assert (stack != stack.radians) is True
+
+    def test_compares_and_hashes_in_place(self):
+        # the radians are read where they are: two equal, distinct stacks
+        # once compared by copying both columns to bytes (16 bytes a filter)
+        # and hashed by copying one; now the compare's work space is one
+        # byte a filter and the hash's is nothing
+        n = 100_000
+        degrees = np.cumsum(np.random.default_rng(1).normal(0.0, 3.0, n))
+        a, b = FilterStack.from_degrees(degrees), FilterStack.from_degrees(degrees)
+        c = FilterStack.from_degrees(np.append(degrees[:-1], degrees[-1] + 1.0))
+        for check, bound in [(lambda: a == b and a != c, 2 * n),
+                             (lambda: hash(a) == hash(b), 4096)]:
+            tracemalloc.start()
+            try:
+                assert check()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (peak, bound)
 
     @given(radians=st.lists(finite_angles | st.floats(-1e-300, 0.0), max_size=20))
     def test_axes_are_the_angles_of_each_value(self, radians):
