@@ -48,9 +48,9 @@ from .engines import (
     MonteCarloConfig,
     MonteCarloReport,
     PhotonInput,
+    _BLOCK,
     _PHOTONS,
     _SEEDS,
-    _running_product,
     compare,
     run_classical,
     run_monte_carlo,
@@ -59,11 +59,14 @@ from .engines import (
 
 _TSV_HEADER = "stage\taxis_deg\tclassical_intensity\tstage_prob\tcumulative_prob"
 
-# rows laid out at a time: bounds the cells and row bytes alive at once
-_BLOCK_ROWS = 2048
-
 # stack-file characters split into lines at a time: bounds the line strings alive at once
 _PARSE_CHARS = 1 << 16
+
+
+class _Parsed(tuple):
+    """(angles,): the new float64 array of a stack file's angles that
+    :func:`parse_spec` read and no caller holds, which the spec keeps with
+    no copy."""
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -93,8 +96,9 @@ class ExperimentSpec(_ByValue):
             raise UsageError(f"unknown mode {self.mode!r}")
         if self.output_format not in _FORMATS:
             raise UsageError(f"unknown format {self.output_format!r}")
+        given = self.filters_deg
         try:
-            filters = _angle_array(self.filters_deg)
+            filters = given[0] if type(given) is _Parsed else _angle_array(given)
         except ValueError as exc:
             raise UsageError(f"--filters: {exc}") from None
         # the photon range is checked only where photons are sampled
@@ -118,9 +122,10 @@ class ExperimentSpec(_ByValue):
             object.__setattr__(self, "stack", FilterStack.from_degrees(filters))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        # copied once the stack is built, so the stack's working arrays and
-        # the copy are never alive together
-        filters = filters.copy()
+        if type(given) is not _Parsed:
+            # a caller's value is copied, since its owner may write it, and
+            # only once the stack is built, so the copy and the build never overlap
+            filters = filters.copy()
         filters.flags.writeable = False
         object.__setattr__(self, "filters_deg", filters)
 
@@ -228,11 +233,12 @@ def parse_spec(argv: list[str] | None) -> ExperimentSpec:
                 if text.read(1) != "\ufeff":
                     text.seek(0)
                 try:
-                    args["filters_deg"] = parse_stack_text(text, source=stack_file)
+                    # held by the spec as it is, with no second copy
+                    args["filters_deg"] = _Parsed([parse_stack_text(text, source=stack_file)])
                 except UnicodeDecodeError as exc:
                     # reported below, like any file that cannot be read
                     raise OSError(_decode_error(exc, fh.buffer.tell() - len(exc.object))) from None
-                del text  # a pipe's text is let go before the spec copies the angles
+                del text  # a pipe's text is let go before the spec builds the stack
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"--stack-file: cannot read {stack_file!r}: {exc}") from None
     return ExperimentSpec(**args)
@@ -246,10 +252,12 @@ class _Table:
     each of `text_cells` is a list of literal text and columns in row order,
     such as ``("intensity ", column)`` or
     ``(counts, " of ", before, " photons passed")``; a column is any that
-    :func:`text_rows` takes.
+    :func:`text_rows` takes, or an int: 2k is the column of `traces[k]`
+    and 2k + 1 its running product, made a block at a time by its walk.
     """
 
     stack: FilterStack
+    traces: tuple
     tsv_columns: tuple
     tsv_footer: list[str]
     heading: str
@@ -286,37 +294,21 @@ def _write(table: _Table, output_format: str) -> Iterator[str]:
         for cell in table.text_cells:
             row += [", ", *cell]
     row.append("\n")
+    # the traces' walks give the int columns a block at a time; `block` holds
+    # only the arrays the row shows, and each is let go once its cells are
+    # laid out
+    walks, block = [iter(trace._blocks()) for trace in table.traces], {}
+    shown = [item for item in row if type(item) is int]
+    row = [(lambda lo, hi, k=item: block.pop(k)) if type(item) is int else item for item in row]
     yield head + "\n"
     n = len(table.stack)
-    for lo in range(0, n, _BLOCK_ROWS):
-        yield text_rows(row, lo, min(lo + _BLOCK_ROWS, n))
+    for lo in range(0, n, _BLOCK):
+        arrays = [array for walk in walks for array in next(walk)[1:]]
+        block.update((k, arrays[k]) for k in shown)
+        del arrays
+        yield text_rows(row, lo, min(lo + _BLOCK, n))
     for line in foot:
         yield line + "\n"
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class _RunningProduct:
-    """The running product of `factors`, a column :func:`text_rows` makes a
-    block of rows at a time.
-
-    It holds the product before each block of `_BLOCK_ROWS` rows, one float
-    a block, so a block is made from its own factors and carry, in any
-    order, with the bits of one sequential product over the whole column.
-    """
-
-    factors: np.ndarray
-    carries: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        # each block's carry is the last product of the block before
-        object.__setattr__(self, "carries", np.ones(-(-len(self.factors) // _BLOCK_ROWS)))
-        for k in range(1, len(self.carries)):
-            self.carries[k] = self((k - 1) * _BLOCK_ROWS, k * _BLOCK_ROWS)[-1]
-
-    def __call__(self, lo: int, hi: int) -> np.ndarray:
-        start = lo - lo % _BLOCK_ROWS  # the block that holds row lo
-        carry = self.carries[lo // _BLOCK_ROWS]
-        return _running_product(self.factors[start:hi], carry, np.empty(hi - start))[lo - start:]
 
 
 def render_trace(
@@ -332,13 +324,14 @@ def render_trace(
 
 
 def _cascade_table(trace: CascadeTrace) -> _Table:
-    probs = trace.stage_pass_probability
-    columns = (trace.classical_intensity_after, probs,
-               None if probs is None else _RunningProduct(probs))
+    # the walk's column: the intensities, or the stage probabilities and their product
+    classical = isinstance(trace.input_description, ClassicalBeam)
+    columns = (0, None, None) if classical else (None, 0, 1)
     labels = ("intensity ", "pass prob ", "cumulative ")
     final = _num(trace.final_transmitted_fraction)
     return _Table(
         stack=trace.stack,
+        traces=(trace,),
         tsv_columns=columns,
         tsv_footer=[f"# final_fraction={final}"],
         heading=_describe_input(trace.input_description),
@@ -364,6 +357,7 @@ def _mc_table(report: MonteCarloReport) -> _Table:
     lo, hi = (_num(x) for x in report.confidence_interval_95)
     return _Table(
         stack=report.config.stack,
+        traces=(),
         tsv_columns=(None, (stage_prob, lambda lo, hi: before(lo, hi) == 0),
                      lambda lo, hi: counts[lo:hi] / n),
         tsv_footer=[
@@ -388,19 +382,19 @@ def render_comparison(
     The output goes to `out` as in :func:`render_trace`.
     """
     verdict = "pass" if report.passed else "fail"
-    intensity, probs = classical.classical_intensity_after, quantum.stage_pass_probability
-    cumulative = _RunningProduct(probs)
     final, quantum_final = (_num(t.final_transmitted_fraction) for t in (classical, quantum))
     max_diff, tolerance = _num(report.max_difference), _num(report.tolerance)
+    # the walks' columns: the intensities, the stage probabilities and their product
     table = _Table(
         stack=classical.stack,
-        tsv_columns=(intensity, probs, cumulative),
+        traces=(classical, quantum),
+        tsv_columns=(0, 2, 3),
         tsv_footer=[
             f"# final_fraction={final}",
             f"# compare={verdict} max_diff={max_diff} tolerance={tolerance}",
         ],
         heading=_describe_input(classical.input_description),
-        text_cells=[("intensity ", intensity), ("cumulative prob ", cumulative)],
+        text_cells=[("intensity ", 0), ("cumulative prob ", 3)],
         summary=f"classical fraction {final} vs quantum probability {quantum_final}: "
         f"{verdict} (max diff {max_diff}, tolerance {tolerance})",
     )

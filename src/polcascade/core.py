@@ -162,6 +162,22 @@ def _angle_array(values: object) -> np.ndarray:
         raise ValueError("filter angle must be finite, got an int beyond float's range") from None
 
 
+def _reduced(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # r reduced to [0, pi) in `out`, which may be r, made read-only; each
+    # value as Angle reduces it. min and max, from 0, find a nan, an
+    # infinity or a negative value with no array as long as r; a value on
+    # the divisor can only come from a negative one, and reducing again
+    # takes pi, and only pi, to 0
+    lo, hi = np.minimum.reduce(r, initial=0.0), np.maximum.reduce(r, initial=0.0)
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(f"filter angle must be finite, got {r[~np.isfinite(r)][0].item()!r}")
+    np.mod(r, np.pi, out)
+    if lo < 0.0:
+        np.mod(out, np.pi, out)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class FilterStack:
     """Ordered polarizer axes; an empty stack transmits unchanged.
@@ -175,18 +191,21 @@ class FilterStack:
 
     def __post_init__(self) -> None:
         r = _angle_array(self.radians)
-        finite = np.isfinite(r)
-        if np.count_nonzero(finite) < len(r):
-            raise ValueError(f"filter angle must be finite, got {r[~finite][0].item()!r}")
-        r = np.mod(r, np.pi)  # a new array, never the caller's
-        r[r >= np.pi] = 0.0  # same landing-on-the-divisor case as Angle
-        r.setflags(write=False)
-        object.__setattr__(self, "radians", r)
+        object.__setattr__(self, "radians", _reduced(r, np.empty(len(r))))  # never the caller's
 
     @classmethod
     def from_degrees(cls, degrees: Iterable[float]) -> FilterStack:
         """Stack from axis angles in degrees, read by the same rule as radians."""
-        return cls(np.radians(_angle_array(degrees)))
+        stack = object.__new__(cls)
+        # the radians are made here, so they are reduced where they are
+        r = np.radians(_angle_array(degrees))
+        object.__setattr__(stack, "radians", _reduced(r, r))
+        return stack
+
+    def __reduce__(self) -> tuple:
+        # a copy, a deep copy or an unpickled stack is built from the radians
+        # again, so its array is read-only too
+        return type(self), (self.radians,)
 
     @property
     def axes(self) -> tuple[Angle, ...]:

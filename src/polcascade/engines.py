@@ -18,20 +18,21 @@ stages) and a kernel turns the two into the stage's factor:
   decision is the float64 one. Each worker reads one contiguous run of
   photons in stream order: a seed gives the same bits at any worker count.
 
-A :class:`CascadeTrace` holds one array per column an engine produces; its
-`stages` are a per-row view. A quantum trace stores only its stage
-probabilities. Their running product, the cumulative probability, is
-made where it is read: whole by the trace's property, and a block at a
-time by `compare` and the CLI's render, with :func:`_running_product`,
-which carries it across each block edge with the roundings of one product
-over the whole column. :func:`compare` reconciles the classical intensity
-fraction with the quantum cumulative probability; the two agree because
-transmitted intensity is proportional to the photon transmission
+A :class:`CascadeTrace` keeps the first `_BLOCK` stages of its engine's
+column, its head, and its final fraction; `stages` is a per-row view. One
+fold, :func:`_fold`, makes a column a block at a time with its running
+product, which :func:`_running_product` carries across each block edge
+with the roundings of one product over the whole column, and the quantum
+extinction cut with it. Every read of a column, `compare` and the CLI's
+render take their blocks from its walk, the first from the head and every
+later one folded again from the stack. :func:`compare` reconciles the classical
+intensity fraction with the quantum cumulative probability; the two agree
+because transmitted intensity is proportional to the photon transmission
 probability.
 
-Each engine holds its result columns and, beside them, working arrays of
-`_BLOCK` stages only; a :class:`ComparisonReport` keeps no column, and a
-:class:`MonteCarloReport` only its counts.
+Each engine and each read holds working arrays of `_BLOCK` stages only,
+besides a column it returns whole; a :class:`ComparisonReport` keeps no
+column, and a :class:`MonteCarloReport` only its counts.
 """
 
 from __future__ import annotations
@@ -40,21 +41,19 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Angle, ClassicalBeam, FilterStack, ZERO_PROBABILITY_TOL
+from ._folds import _BLOCK, _born, _fold, _gather, _stage_factors, _walk
+from .core import Angle, ClassicalBeam, FilterStack
 from .core import _ByValue, _integer, _real
 
 # Two-sided 95% normal quantile, used by the Wilson score interval.
 _Z95 = 1.959963984540054
-
-# Stages the folds, the Monte Carlo chain and `compare` work on at a time:
-# it bounds each working array that is not a result column.
-_BLOCK = 2048
 
 # Photons a share draws at a time: it bounds the draw buffer, 16 bytes a
 # photon, plus 5 for the unpolarized screen and its mask. A share reads its
@@ -131,34 +130,62 @@ class StageRecord(NamedTuple):
 class CascadeTrace:
     """End-to-end result of a classical or exact quantum run.
 
-    Per-stage results are columns aligned with `stack`, one float64 array
-    each, and None for a column the engine does not produce. The
-    cumulative probability is not stored: it is computed from the stage
-    probabilities when read.
+    The trace keeps the first `_BLOCK` stages of its engine's column, the
+    classical intensities or the quantum stage probabilities; each read of
+    a column returns a new float64 array aligned with `stack`, its later
+    blocks folded again from the stack, and None for a column the engine
+    does not produce.
     """
 
     input_description: ClassicalBeam | PhotonInput
     stack: FilterStack
     final_transmitted_fraction: float
-    classical_intensity_after: np.ndarray | None = None
-    stage_pass_probability: np.ndarray | None = None
+    _head: np.ndarray = field(repr=False)
+
+    def _blocks(self) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
+        # (lo, column, product) of each block, as _walk makes them; a head
+        # that is the whole column is the one block
+        head = self._head
+        if len(head) < len(self.stack):
+            return _walk(self.input_description, self.stack.radians, head)
+        classical = isinstance(self.input_description, ClassicalBeam)
+        return ((0, head, head if classical else np.multiply.accumulate(head)),)
+
+    def _column(self) -> np.ndarray:
+        # the whole column: the head itself when it is the whole stack
+        if len(self._head) == len(self.stack):
+            return self._head
+        return _gather(self._blocks(), len(self.stack))
+
+    def _read(self, kind: type) -> np.ndarray | None:
+        # the column, as a new array, of a trace whose input is of `kind`
+        if isinstance(self.input_description, kind):
+            column = self._column()
+            return column.copy() if column is self._head else column
+
+    @property
+    def classical_intensity_after(self) -> np.ndarray | None:
+        return self._read(ClassicalBeam)
+
+    @property
+    def stage_pass_probability(self) -> np.ndarray | None:
+        return self._read(PhotonInput)
 
     @property
     def cumulative_probability(self) -> np.ndarray | None:
-        """The running product of the stage probabilities, a new array on each read."""
-        probs = self.stage_pass_probability
+        """The running product of the stage probabilities."""
+        probs = self._read(PhotonInput)
         # a sequential product: the roundings of the per-filter loop
-        return None if probs is None else np.multiply.accumulate(probs)
+        return None if probs is None else np.multiply.accumulate(probs, out=probs)
 
     @property
     def stages(self) -> tuple[StageRecord, ...]:
         """The columns as one :class:`StageRecord` per filter."""
-        n = len(self.stack)
-        columns = (
-            self.classical_intensity_after,
-            self.stage_pass_probability,
-            self.cumulative_probability,
-        )
+        n, column = len(self.stack), self._column()
+        if isinstance(self.input_description, ClassicalBeam):
+            columns = (column, None, None)
+        else:
+            columns = (None, column, np.multiply.accumulate(column))
         values = [repeat(None, n) if c is None else c.tolist() for c in columns]
         # each row made in C, as StageRecord._make makes it, less its length check
         rows = zip(range(1, n + 1), self.stack.axes, *values)
@@ -256,10 +283,11 @@ class ComparisonReport:
     @property
     def stage_differences(self) -> np.ndarray:
         """|intensity fraction - cumulative probability| at each stage."""
-        classical = self.classical
-        return _differences(classical.classical_intensity_after,
-                            classical.input_description.intensity,
-                            self.quantum.cumulative_probability)
+        classical, quantum = self.classical, self.quantum
+        intensity_in = classical.input_description.intensity
+        return _gather(((lo, _differences(intensities, intensity_in, cumulative))
+                        for (lo, intensities, _), (_, _, cumulative)
+                        in zip(classical._blocks(), quantum._blocks())), len(classical.stack))
 
     @property
     def passed(self) -> bool:
@@ -267,74 +295,17 @@ class ComparisonReport:
         return self.max_difference <= self.tolerance
 
 
-def _stage_factors(plane: Angle | None, axes: np.ndarray, factor, lo: int = 0,
-                   hi: int | None = None) -> np.ndarray:
-    """The factors of stages lo..hi-1 (0-based; all by default), from each
-    stage's axis and the plane of polarization it sees.
-
-    Stage 1 sees `plane`, and every later stage the axis before it; for
-    unpolarized input (`plane` None) stage 1's factor is exactly 1/2, in
-    Malus's law and the Born rule alike. The rest go `_BLOCK` stages at a
-    time: `factor(planes, out)` writes a block's factors to `out`, where
-    `planes` is the plane its first stage sees, then its axes. The result
-    is the only array as long as the range.
-    """
-    hi = len(axes) if hi is None else min(hi, len(axes))
-    factors = np.empty(hi - lo)
-    first = lo
-    if plane is None and lo == 0 and hi:
-        factors[0] = 0.5
-        first = 1
-    for start in range(first, hi, _BLOCK):
-        end = min(start + _BLOCK, hi)
-        if start:  # a block also reads the last axis of the block before
-            planes = axes[start - 1:end]
-        else:  # or the input plane: filling an array costs ~1 us less than np.concatenate
-            planes = np.empty(end + 1)
-            planes[0], planes[1:] = plane.radians, axes[:end]
-        factor(planes, factors[start - lo:end - lo])
-    return factors
-
-
-def _malus(planes: np.ndarray, out: np.ndarray) -> None:
-    """Malus factors cos^2(axis - plane), as :func:`polcascade.core.malus_factor`."""
-    np.subtract(planes[1:], planes[:-1], out=out)
-    np.cos(out, out=out)
-    np.multiply(out, out, out=out)
-
-
-def _born(planes: np.ndarray, out: np.ndarray) -> None:
-    """Born-rule pass probabilities, as :func:`polcascade.core.pass_probability`.
-
-    Each is the squared dot product of the (cos, sin) kets, clamped to [-1, 1].
-    """
-    v = np.sin(planes)
-    h = np.cos(planes)
-    # the dot products; the spent h holds the v products
-    np.multiply(h[1:], h[:-1], out=out)
-    out += np.multiply(v[1:], v[:-1], out=h[1:])
-    # squared, then capped at 1: the bits of clamping to [-1, 1] first, since
-    # rounding is monotonic. If |dot| > 1, dot * dot >= 1 and the cap gives
-    # exactly 1.0, the square of the clamped +-1; if |dot| <= 1, dot * dot
-    # <= 1 and the cap leaves it as it is
-    np.multiply(out, out, out=out)
-    np.minimum(out, 1.0, out=out)
-
-
-def _running_product(factors: np.ndarray, carry: float, out: np.ndarray) -> np.ndarray:
-    """Write carry * f0, then that times f1, and so on, to `out` and return it.
-
-    These are the roundings of one sequential product over the whole
-    column, so a column made a block at a time, each block's carry being
-    the last product of the block before, has its bits: the first block's
-    carry, 1.0, is exact, as is 1.0 * f0. `out` may be `factors`.
-    """
-    if carry != 1.0:  # a carry of 1.0 changes no bit, so it needs no step
-        if out is not factors:
-            out[1:] = factors[1:]
-        out[:1] = factors[:1] * carry
-        factors = out
-    return np.multiply.accumulate(factors, out=out)
+def _trace(input: ClassicalBeam | PhotonInput, stack: FilterStack, start: float) -> CascadeTrace:
+    """The trace of one walk over the stack from `start`, the product before
+    the first stage: its head is the first block's column, and its final
+    fraction the last product over `start` (0 for a dark beam, and 1 for an
+    empty stack). The blocks are folded by calls, not by a generator, which
+    would cost a short stack ~10% more."""
+    radians, state = stack.radians, [start, 1.0]
+    head = _fold(input, radians, 0, None, state)[1] if len(radians) else np.empty(0)
+    for lo in range(_BLOCK, len(radians), _BLOCK):
+        _fold(input, radians, lo, None, state)
+    return CascadeTrace(input, stack, float(state[0]) / start if start else 0.0, head)
 
 
 def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
@@ -347,16 +318,9 @@ def run_classical(input: ClassicalBeam, stack: FilterStack) -> CascadeTrace:
     """
     if input.intensity:  # a dark beam (0) has fraction 0; any other must be normal
         _real(input.intensity, "intensity", sys.float_info.min)
-    # one array, filled in place: each stage's factor, then their running
-    # product after the input intensity, I0 * f1 first, then * f2 and so on
-    intensities = _stage_factors(input.plane, stack.radians, _malus)
-    _running_product(intensities, input.intensity, intensities)
-    if input.intensity > 0.0:
-        # an empty stack transmits unchanged
-        fraction = float(intensities[-1]) / input.intensity if len(intensities) else 1.0
-    else:
-        fraction = 0.0
-    return CascadeTrace(input, stack, fraction, intensities)
+    # each stage's factor, then their running product after the input
+    # intensity, I0 * f1 first, then * f2 and so on
+    return _trace(input, stack, input.intensity)
 
 
 def run_quantum_exact(input: PhotonInput, stack: FilterStack) -> CascadeTrace:
@@ -372,20 +336,7 @@ def run_quantum_exact(input: PhotonInput, stack: FilterStack) -> CascadeTrace:
     filter pair): it is recorded as exactly 0, every later stage and
     cumulative probability is exactly 0, and no projection error is raised.
     """
-    probs = _stage_factors(input.angle, stack.radians, _born)
-    # a block at a time: the extinction cut, from the first stage below the
-    # tolerance on all 0, and the running product up to it, whose last value
-    # is the final fraction; the cumulative column itself is not kept
-    fraction = 1.0  # an empty stack transmits unchanged
-    for lo in range(0, len(probs), _BLOCK):
-        block = probs[lo:lo + _BLOCK]
-        low = (block < ZERO_PROBABILITY_TOL).nonzero()[0]
-        if len(low):
-            probs[lo + low[0]:] = 0.0
-            fraction = 0.0
-            break
-        fraction = _running_product(block, fraction, np.empty(len(block)))[-1]
-    return CascadeTrace(input, stack, float(fraction), None, probs)
+    return _trace(input, stack, 1.0)
 
 
 def wilson_interval_95(successes: int, trials: int) -> tuple[float, float]:
@@ -567,10 +518,12 @@ def run_monte_carlo(config: MonteCarloConfig, workers: int = 1) -> MonteCarloRep
     counts = np.zeros(len(axes), np.int64)
     if len(axes):
         p_first = _stage_factors(plane, axes, _born, 0, 1)[0]
-        survivors = _sample_first_stage(config, p_first, requested)
+        # made before any share starts, so numpy.random, which numpy imports
+        # on first use, is imported here and not by whichever share is first
         binomial = np.random.Generator(
             np.random.Philox(key=config.seed, counter=_CHAIN_COUNTER)
         ).binomial
+        survivors = _sample_first_stage(config, p_first, requested)
         counts[0] = survivors
         # the stage probabilities as Python floats and the counts as Python
         # ints, one block of stages at a time: the same draws, without a
@@ -620,31 +573,20 @@ def compare(
         raise ComparisonDomainError("traces describe different input kinds")
     if classical.stack != quantum.stack:
         raise ComparisonDomainError("traces describe different filter stacks")
-    if classical.classical_intensity_after is None:
-        raise ComparisonDomainError("classical trace is missing stage intensities")
-    if quantum.stage_pass_probability is None:
-        raise ComparisonDomainError("quantum trace is missing stage probabilities")
-
-    intensity_in = classical.input_description.intensity
-    if intensity_in == 0.0:
+    if classical.input_description.intensity == 0.0:
         raise ComparisonDomainError("classical input is dark, so it has no transmitted fraction")
-    # the largest |fraction - cumulative|, a block of stages at a time, the
-    # cumulative probability carried across each block edge; the last
-    # stage's is the final difference, with the same division and
+    # the largest |fraction - cumulative|, a block of stages at a time; the
+    # last stage's is the final difference, with the same division and
     # subtraction, so the fold starts from 0
-    intensities, probs = classical.classical_intensity_after, quantum.stage_pass_probability
-    max_diff, carry = 0.0, 1.0
-    for lo in range(0, len(probs), _BLOCK):
-        block = probs[lo:lo + _BLOCK]
-        cumulative = _running_product(block, carry, np.empty(len(block)))
-        diffs = _differences(intensities[lo:lo + _BLOCK], intensity_in, cumulative)
+    max_diff, intensity_in = 0.0, classical.input_description.intensity
+    for (_, intensities, _), (_, _, cumulative) in zip(classical._blocks(), quantum._blocks()):
+        diffs = _differences(intensities, intensity_in, cumulative)
         max_diff = np.maximum.reduce(diffs, initial=max_diff)
-        carry = cumulative[-1]
     return ComparisonReport(classical, quantum, float(max_diff), tolerance)
 
 
 def _differences(intensities: np.ndarray, intensity_in: float, cumulative: np.ndarray) -> np.ndarray:
-    """|intensity / intensity_in - cumulative| at each stage, in one new array."""
+    """|intensities / intensity_in - cumulative| at each stage, in one new array."""
     diffs = intensities / intensity_in
     diffs -= cumulative
     return np.abs(diffs, out=diffs)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from polcascade import _cells, cli
+from polcascade import _cells, cli, engines
 from polcascade.cli import (
     ExperimentSpec,
     UsageError,
@@ -390,12 +390,13 @@ class TestStackFile:
         assert str(info.value) == "walk.txt line 25001: not an angle in degrees: '9x'"
 
     def test_file_text_is_let_go_before_the_spec(self, tmp_path):
-        # the file (~19 bytes a line here) is read a piece at a time, and the
-        # spec copies the angles only once the stack has made its radians:
-        # the peak is the stack's build, beside the parsed array, ~3.3
-        # float64 columns. A first parse first imports a few modules (~0.2
-        # columns here, whatever the stack's length), so one small file is
-        # parsed before the measured one.
+        # the file (~19 bytes a line here) is read a piece at a time, the
+        # spec holds the parsed angles with no copy, and the stack reduces
+        # the radians it makes in place: the peak is the radians made beside
+        # the parsed array, two float64 columns (measured: 2.02). A first
+        # parse first imports a few modules (~0.2 columns here, whatever the
+        # stack's length), so one small file is parsed before the measured
+        # one.
         n = 100_000
         degrees = np.cumsum(np.random.default_rng(5).normal(0.0, 0.2, n))
         path, small = tmp_path / "walk.txt", tmp_path / "small.txt"
@@ -409,7 +410,7 @@ class TestStackFile:
         finally:
             tracemalloc.stop()
         assert len(spec.stack) == n
-        assert peak <= 3.5 * 8 * n, peak / (8 * n)
+        assert peak <= 2 * 8 * n + cli._PARSE_CHARS, peak / (8 * n)
 
     def test_unreadable_file_named(self, tmp_path):
         missing = tmp_path / "nope.txt"
@@ -637,6 +638,18 @@ class TestMain:
         assert proc.stderr == (
             "polcascade: internal error: OSError: [Errno 28] No space left on device\n"
         )
+
+    def test_python_m_polcascade_is_the_console_script(self, capsys):
+        # the `polcascade` script is the entry point polcascade.cli:main, run
+        # as sys.exit(main()); a failing compare, so the exit code is not 0
+        argv = ["--filters", ROUNDING_STACK, "--mode", "compare", "--tolerance", "1e-18"]
+        module = subprocess.run([sys.executable, "-m", "polcascade", *argv],
+                                capture_output=True, env=_cli_env(), timeout=60)
+        code = main(argv)
+        script = capsys.readouterr()
+        assert module.returncode == code == 1
+        assert module.stdout.decode() == script.out and "\n# compare=fail " in script.out
+        assert module.stderr == b"" and script.err == ""
 
     def test_closed_pipe_exits_141_quietly(self, tmp_path):
         # ~1.3 MB of output, more than a pipe holds, so the run is still
@@ -914,6 +927,12 @@ class TestInputValidation:
         angles = np.array([-0.0, 45.0])
         spec = ExperimentSpec(mode="classical", filters_deg=angles)
         angles[1] = 46.0  # the spec holds its own copy
+        # of a read-only array too, which its owner may make writeable again
+        angles.flags.writeable = False
+        frozen = ExperimentSpec(mode="classical", filters_deg=angles)
+        angles.flags.writeable = True
+        angles[1] = 45.0
+        assert frozen.filters_deg.tolist() == [0.0, 46.0]
         assert spec.filters_deg.dtype == np.float64
         with pytest.raises(ValueError):
             spec.filters_deg[0] = 1.0
@@ -1106,7 +1125,7 @@ def _random_walk(n, seed=5):
     return FilterStack.from_degrees(np.cumsum(steps).tolist())
 
 
-BLOCK = cli._BLOCK_ROWS
+BLOCK = engines._BLOCK
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
@@ -1155,6 +1174,72 @@ def _float_cells(values):
     return [bytes(c).replace(b"\0", b"").decode() for c in cells]
 
 
+def _every_mode_and_its_reference(degrees, input_deg):
+    """Each mode's output in TSV and then text, rendered from its result,
+    beside the lines it must be, built one cell at a time from the columns
+    (1000 photons, seed 7, for `mc`); and the Monte Carlo counts."""
+    n = len(degrees)
+    stack = FilterStack.from_degrees(degrees)
+    axes = [_num(a) for a in np.degrees(stack.radians).tolist()]
+    beam = ClassicalBeam.linear(angle_from_degrees(input_deg), 1.0)
+    photons = PhotonInput.pure_ket(angle_from_degrees(input_deg))
+    classical = run_classical(beam, stack)
+    quantum = run_quantum_exact(photons, stack)
+    report = compare(classical, quantum, 1e-9)
+    mc = run_monte_carlo(MonteCarloConfig(photon_count=1000, seed=7, input=photons, stack=stack))
+    intensity = [_num(x) for x in classical.classical_intensity_after.tolist()]
+    stage_prob = [_num(x) for x in quantum.stage_pass_probability.tolist()]
+    cumulative = [_num(x) for x in quantum.cumulative_probability.tolist()]
+    counts = mc.per_stage_survivor_counts
+    before = (1000, *counts[:-1])
+    mc_stage = [_num(c / p) if p else "-" for c, p in zip(counts, before)]
+    mc_cumulative = [_num(c / 1000) for c in counts]
+
+    def tsv(*columns):
+        return ["\t".join(cells) for cells in zip(map(str, range(1, n + 1)), axes, *columns)]
+
+    def text(*cells):
+        return [
+            ", ".join([f"  stage {i}: axis {a} deg", *more])
+            for i, a, *more in zip(range(1, n + 1), axes, *cells)
+        ]
+
+    dash = ["-"] * n
+    final, quantum_final = (_num(t.final_transmitted_fraction) for t in (classical, quantum))
+    verdict, max_diff = "pass" if report.passed else "fail", _num(report.max_difference)
+    est, err = _num(mc.estimate), _num(mc.standard_error)
+    lo, hi = (_num(x) for x in mc.confidence_interval_95)
+    plane = _num(input_deg)
+    return counts, [
+        (_rendered(render_trace, classical, "tsv"), [TSV_HEADER.rstrip("\n"),
+         *tsv(intensity, dash, dash), f"# final_fraction={final}"]),
+        (_rendered(render_trace, quantum, "tsv"), [TSV_HEADER.rstrip("\n"),
+         *tsv(dash, stage_prob, cumulative), f"# final_fraction={quantum_final}"]),
+        (_rendered(render_comparison, classical, quantum, report, "tsv"), [TSV_HEADER.rstrip("\n"),
+         *tsv(intensity, stage_prob, cumulative), f"# final_fraction={final}",
+         f"# compare={verdict} max_diff={max_diff} tolerance=1e-09"]),
+        (_rendered(render_trace, mc, "tsv"), [TSV_HEADER.rstrip("\n"),
+         *tsv(dash, mc_stage, mc_cumulative), f"# final_fraction={est}",
+         f"# estimate={est} stderr={err} ci95={lo},{hi} seed=7"]),
+        (_rendered(render_trace, classical, "text"), [f"input: linear at {plane} deg, intensity 1",
+         *text([f"intensity {c}" for c in intensity]),
+         f"transmitted fraction: {final}"]),
+        (_rendered(render_trace, quantum, "text"), [f"input: photons polarized at {plane} deg",
+         *text([f"pass prob {c}" for c in stage_prob], [f"cumulative {c}" for c in cumulative]),
+         f"transmitted fraction: {quantum_final}"]),
+        (_rendered(render_comparison, classical, quantum, report, "text"),
+         [f"input: linear at {plane} deg, intensity 1",
+          *text([f"intensity {c}" for c in intensity],
+                [f"cumulative prob {c}" for c in cumulative]),
+          f"classical fraction {final} vs quantum probability {quantum_final}: "
+          f"{verdict} (max diff {max_diff}, tolerance 1e-09)"]),
+        (_rendered(render_trace, mc, "text"),
+         [f"input: photons polarized at {plane} deg, 1000 photons, seed 7",
+          *text([f"{c} of {p} photons passed" for c, p in zip(counts, before)]),
+          f"transmitted fraction: {est} (stderr {err}, 95% CI [{lo}, {hi}])"]),
+    ]
+
+
 class TestBlockBoundaries:
     """Every row at and around the writer's block edges, against a reference
     built one cell at a time."""
@@ -1164,66 +1249,8 @@ class TestBlockBoundaries:
     def test_rows_match_cell_by_cell_reference(self, capsys, n):
         degrees = np.cumsum(np.random.default_rng(n).normal(0.0, 1.0, n))
         degrees[-2] = degrees[-3] + 90.0  # a crossed pair stops every photon
-        stack = FilterStack.from_degrees(degrees.tolist())
-        axes = [_num(a) for a in np.degrees(stack.radians).tolist()]
-        beam = ClassicalBeam.linear(angle_from_degrees(33.3), 1.0)
-        photons = PhotonInput.pure_ket(angle_from_degrees(33.3))
-        classical = run_classical(beam, stack)
-        quantum = run_quantum_exact(photons, stack)
-        report = compare(classical, quantum, 1e-9)
-        mc = run_monte_carlo(
-            MonteCarloConfig(photon_count=1000, seed=7, input=photons, stack=stack)
-        )
-        intensity = [_num(x) for x in classical.classical_intensity_after.tolist()]
-        stage_prob = [_num(x) for x in quantum.stage_pass_probability.tolist()]
-        cumulative = [_num(x) for x in quantum.cumulative_probability.tolist()]
-        counts = mc.per_stage_survivor_counts
-        before = (1000, *counts[:-1])
-        assert counts[-3] > 0 and before[-1] == 0  # the last MC stage_prob is `-`
-        mc_stage = [_num(c / p) if p else "-" for c, p in zip(counts, before)]
-        mc_cumulative = [_num(c / 1000) for c in counts]
-
-        def tsv(*columns):
-            return ["\t".join(cells) for cells in zip(map(str, range(1, n + 1)), axes, *columns)]
-
-        def text(*cells):
-            return [
-                ", ".join([f"  stage {i}: axis {a} deg", *more])
-                for i, a, *more in zip(range(1, n + 1), axes, *cells)
-            ]
-
-        dash = ["-"] * n
-        final, quantum_final = (_num(t.final_transmitted_fraction) for t in (classical, quantum))
-        max_diff = _num(report.max_difference)
-        est, err = _num(mc.estimate), _num(mc.standard_error)
-        lo, hi = (_num(x) for x in mc.confidence_interval_95)
-        cases = [
-            (_rendered(render_trace, classical, "tsv"), [TSV_HEADER.rstrip("\n"),
-             *tsv(intensity, dash, dash), f"# final_fraction={final}"]),
-            (_rendered(render_trace, quantum, "tsv"), [TSV_HEADER.rstrip("\n"),
-             *tsv(dash, stage_prob, cumulative), f"# final_fraction={quantum_final}"]),
-            (_rendered(render_comparison, classical, quantum, report, "tsv"), [TSV_HEADER.rstrip("\n"),
-             *tsv(intensity, stage_prob, cumulative), f"# final_fraction={final}",
-             f"# compare=pass max_diff={max_diff} tolerance=1e-09"]),
-            (_rendered(render_trace, mc, "tsv"), [TSV_HEADER.rstrip("\n"),
-             *tsv(dash, mc_stage, mc_cumulative), f"# final_fraction={est}",
-             f"# estimate={est} stderr={err} ci95={lo},{hi} seed=7"]),
-            (_rendered(render_trace, classical, "text"), ["input: linear at 33.3 deg, intensity 1",
-             *text([f"intensity {c}" for c in intensity]),
-             f"transmitted fraction: {final}"]),
-            (_rendered(render_trace, quantum, "text"), ["input: photons polarized at 33.3 deg",
-             *text([f"pass prob {c}" for c in stage_prob], [f"cumulative {c}" for c in cumulative]),
-             f"transmitted fraction: {quantum_final}"]),
-            (_rendered(render_comparison, classical, quantum, report, "text"),
-             ["input: linear at 33.3 deg, intensity 1",
-              *text([f"intensity {c}" for c in intensity],
-                    [f"cumulative prob {c}" for c in cumulative]),
-              f"classical fraction {final} vs quantum probability {quantum_final}: "
-              f"pass (max diff {max_diff}, tolerance 1e-09)"]),
-            (_rendered(render_trace, mc, "text"), ["input: photons polarized at 33.3 deg, 1000 photons, seed 7",
-             *text([f"{c} of {p} photons passed" for c, p in zip(counts, before)]),
-             f"transmitted fraction: {est} (stderr {err}, 95% CI [{lo}, {hi}])"]),
-        ]
+        counts, cases = _every_mode_and_its_reference(degrees.tolist(), 33.3)
+        assert counts[-3] > 0 and counts[-2] == 0  # the last MC stage_prob is `-`
         for out, expected in cases:
             assert out == "\n".join(expected) + "\n"
         # the same bytes written to stdout by main and to a StringIO by run_experiment
@@ -1235,6 +1262,27 @@ class TestBlockBoundaries:
             assert main(argv) == 0
             assert capsys.readouterr().out == out
             assert _run(argv)[0] == out
+
+    @pytest.mark.parametrize("case,n", [
+        ("cut", BLOCK + 1), ("cut", 2 * BLOCK + 1), ("subnormal-carry", BLOCK - 1),
+        ("subnormal-carry", BLOCK), ("subnormal-carry", BLOCK + 1),
+        ("subnormal-carry", 2 * BLOCK + 1)])
+    def test_every_mode_across_the_first_edge(self, case, n):
+        # a trace keeps its first block and the render folds every later one
+        # again from the stack, with the carry and the cut: filters BLOCK - 1
+        # and BLOCK crossed, so the quantum columns are 0 from BLOCK on; or
+        # equal steps from the input plane, each passing cos^2(step), whose
+        # products are subnormal, ~1e-312, by the end of the first block and
+        # carried into the second
+        if case == "cut":
+            degrees = np.cumsum(np.random.default_rng(9).normal(0.0, 0.5, n))
+            degrees[BLOCK] = degrees[BLOCK - 1] + 90.0
+            input_deg = 33.3
+        else:
+            step = math.degrees(math.acos(math.exp(math.log(1e-312) / (2 * BLOCK))))
+            degrees, input_deg = step * np.arange(1, n + 1), 0.0
+        for out, expected in _every_mode_and_its_reference(degrees.tolist(), input_deg)[1]:
+            assert out == "\n".join(expected) + "\n"
 
     @given(
         x=_ANY_FLOAT,
@@ -1324,27 +1372,37 @@ class TestRenderMemory:
     def test_whole_run_peak_is_bounded_by_the_stack(self, tmp_path, monkeypatch):
         # main streams its output, so the peak scales with the stack, not
         # with the ~80 bytes a filter of output. The stack file is read a
-        # piece at a time, so the parse peaks while the stack is built beside
-        # the parsed array, under 3.5 columns of 8 bytes a filter and one
-        # render block. main lets the spec, and with it the degrees, go
-        # before the engines run, so a compare keeps three such columns (the
-        # stack's radians, the classical intensities, the quantum stage
-        # probabilities) and one render block; the cumulative probabilities
-        # are made a block at a time
+        # piece at a time, and the stack reduces the radians it makes in
+        # place, so the parse peaks while the radians are made beside the
+        # parsed angles: two columns of 8 bytes a filter, under one piece
+        # more (measured: 6.7 block rows). main lets the spec, and with it
+        # the degrees, go before the engines run, and a trace keeps one block
+        # of its column, so from the first engine call a compare holds the
+        # stack's radians and a few blocks (measured: 256 block rows, of
+        # which the render block is ~200). A first run imports and caches a
+        # few things (~0.2 columns here, whatever the stack's length), so a
+        # small file runs before the measured one.
         n = 100_000
         degrees = np.cumsum(np.random.default_rng(5).normal(0.0, 0.2, n))
-        path = tmp_path / "walk.txt"
+        path, small = tmp_path / "walk.txt", tmp_path / "small.txt"
         path.write_text("".join(f"{a!r}\n" for a in degrees.tolist()))
-        parse_spec, parse_peaks = cli.parse_spec, []
+        small.write_text("0\n45\n")
+        parse_spec, run_classical, peaks = cli.parse_spec, cli.run_classical, {}
 
-        def parse_then_reset_peak(argv):
+        def parse_then_record_peak(argv):
             spec = parse_spec(argv)
-            parse_peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.reset_peak()
+            peaks["parse"] = tracemalloc.get_traced_memory()[1]
             return spec
 
-        monkeypatch.setattr(cli, "parse_spec", parse_then_reset_peak)
+        def reset_peak_then_run(*args):
+            # the spec has been let go by now
+            tracemalloc.reset_peak()
+            return run_classical(*args)
+
+        monkeypatch.setattr(cli, "parse_spec", parse_then_record_peak)
+        monkeypatch.setattr(cli, "run_classical", reset_peak_then_run)
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(["--stack-file", str(small), "--mode", "compare"]) == 0
             tracemalloc.start()
             try:
                 code = main(["--stack-file", str(path), "--mode", "compare"])
@@ -1352,8 +1410,8 @@ class TestRenderMemory:
             finally:
                 tracemalloc.stop()
         assert code == 0
-        assert parse_peaks[0] < 3.5 * 8 * n + 200 * BLOCK, parse_peaks
-        assert run_peak < 3 * 8 * n + 200 * BLOCK, run_peak
+        assert peaks["parse"] < 2 * 8 * n + cli._PARSE_CHARS, peaks
+        assert run_peak < 8 * n + 300 * BLOCK, run_peak
 
 
 def _same(a, b):

@@ -1,6 +1,8 @@
 """Unit tests for the single-filter physics primitives and the public API."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -204,6 +206,38 @@ class TestFilterStack:
             finally:
                 tracemalloc.stop()
             assert peak < bound, (peak, bound)
+
+    def test_copies_are_read_only(self):
+        # a trace folds every block of its columns past the first from the
+        # stack's radians when read, so no copy of a stack may be written
+        stack = FilterStack.from_degrees([0.0, 45.0, 90.0])
+        for copied in (copy.copy(stack), copy.deepcopy(stack), pickle.loads(pickle.dumps(stack))):
+            assert copied == stack and hash(copied) == hash(stack)
+            assert not copied.radians.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                copied.radians[0] = 1.0
+            assert copied == stack
+
+    @pytest.mark.parametrize("start", [0.0, -180.0], ids=["positive", "negative"])
+    def test_from_degrees_reduces_the_radians_it_makes_in_place(self, start):
+        # the one array it adds is the radians, 8 bytes a filter: no second
+        # reduced array and no mask as long as the stack. A negative angle
+        # can land on the divisor, which a second reduction takes to 0.
+        n = 100_000
+        degrees = start + np.cumsum(np.abs(np.random.default_rng(2).normal(0.0, 0.01, n)))
+        degrees[n // 2] = -1e-300  # reduced to pi - 1e-300, which rounds to pi
+        tracemalloc.start()
+        try:
+            stack = FilterStack.from_degrees(degrees)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + 4096, peak
+        # the values of one reduction into a new array, with pi taken to 0
+        reduced = np.mod(np.radians(degrees), np.pi)
+        assert reduced[n // 2] == np.pi
+        reduced[reduced >= np.pi] = 0.0
+        assert stack.radians.tobytes() == reduced.tobytes()
 
     @given(radians=st.lists(finite_angles | st.floats(-1e-300, 0.0), max_size=20))
     def test_axes_are_the_angles_of_each_value(self, radians):
