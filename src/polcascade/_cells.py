@@ -2,7 +2,7 @@
 
 The CLI writes every number with 12 significant digits, exactly as
 Python's `format(x, ".12g")` does. :func:`text_rows` lays out a block of
-rows, each row a list of literal text and columns, in one byte buffer:
+rows, each row a list of literal text and arrays, in one byte buffer:
 the literal text and a fixed-width slot per cell, filled one column at a
 time, with NUL bytes where a cell is shorter than its slot; the NULs are
 dropped and the bytes decoded once. :func:`float_cells` and
@@ -238,35 +238,30 @@ def int_cells(v: np.ndarray) -> np.ndarray:
     return cells
 
 
-def text_rows(row: list, lo: int, hi: int) -> str:
-    """Rows lo..hi of a table as text, each row the items of `row` in order.
+def text_rows(row: list, rows: int) -> str:
+    """`rows` rows of a table as text, each row the items of `row` in order.
 
-    An item is literal text (a str) or a column: a 1-D array of float64 or
-    non-negative int64, a function of rows (lo, hi) giving their block of
-    one, or a (column, missing) pair that reads "-" where `missing(lo, hi)`
-    is set.
+    An item is literal text (a str), a block of float64 or non-negative
+    int64 values, one a row, or a (block, missing) pair that reads "-"
+    where the bool array `missing` is set. Each item is popped from `row`
+    as it is laid out, so that its arrays are let go once its cells are.
     """
-    # each item as its literal bytes, or as its block of values and "-" mask
-    parts, widths = [], []
+    widths = []
     for item in row:
         if isinstance(item, str):
-            parts.append(item.encode("ascii"))
-            widths.append(len(parts[-1]))
+            widths.append(len(item))
             continue
-        values, missing = item if isinstance(item, tuple) else (item, None)
-        block = values(lo, hi) if callable(values) else values[lo:hi]
-        parts.append((block, None if missing is None else missing(lo, hi)))
+        block = item[0] if isinstance(item, tuple) else item
         widths.append(FLOAT_WIDTH if block.dtype.kind == "f" else len(str(int(block.max()))))
-    buffer = bytearray((hi - lo) * sum(widths))
-    cells = np.frombuffer(buffer, np.uint8).reshape(hi - lo, -1)
+    buffer = bytearray(rows * sum(widths))
+    cells = np.frombuffer(buffer, np.uint8).reshape(rows, -1)
     at = 0
     for width in widths:
-        # popped, so that a column's values are let go once its cells are laid out
-        part = parts.pop(0)
-        if isinstance(part, bytes):
-            cells[:, at:at + width] = np.frombuffer(part, np.uint8)
+        item = row.pop(0)
+        if isinstance(item, str):
+            cells[:, at:at + width] = np.frombuffer(item.encode("ascii"), np.uint8)
         else:
-            block, missing = part
+            block, missing = item if isinstance(item, tuple) else (item, None)
             cells[:, at:at + width] = (float_cells if block.dtype.kind == "f" else int_cells)(block)
             if missing is not None:
                 cells[missing, at:at + width] = 0

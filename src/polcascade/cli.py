@@ -6,18 +6,18 @@ diagnostics to stderr. Exit codes: 0 success (including a passing
 compare), 1 compare failure, 2 usage error, 3 internal error, and 141,
 quietly, when the reader closes stdout before the output ends.
 
-Each result kind only builds a table (stack, TSV columns and footer, text
-heading, cells and summary); one writer lays every table out in either
-format as one row of literal text and columns, so the row layouts live in
-one place. It makes the output one block of 2048 rows at a time, each
-block laid out by `_cells.text_rows`, which gives every number exactly the
-bytes of Python's 12-significant-digit `format(x, ".12g")`. The renderers
+Each result kind only builds a table (stack, results, TSV columns and
+footer, text heading, cells and summary). One writer lays every table out
+in either format, one block of 2048 rows at a time: a row is literal text
+and indexes into the block's arrays (its stage numbers, axes in degrees and
+results' arrays), laid out by `_cells.text_rows` with every number exactly
+the bytes of Python's 12-significant-digit `format(x, ".12g")`. The renderers
 and :func:`run_experiment` write each block to the text stream they are
 given as it is made, and :func:`main` passes stdout, so a run holds one
 block of output, never all of it. The stack travels as float64 arrays, from
 :func:`parse_stack_text` through :class:`ExperimentSpec` to the engines;
-:func:`parse_spec` reads the stack file a piece at a time, and :func:`main`
-lets the spec, which holds the stack's degrees, go before the engines run.
+:func:`parse_spec` reads the stack file (a pipe from a copy) a piece at a
+time, and :func:`main` lets the spec and its degrees go before the engines run.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from __future__ import annotations
 # freed, which keeps a CLI run's peak RSS ~0.07 MB lower
 from ._cells import num as _num, text_rows
 
-import io
 import math
 import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import TextIO
 
 import numpy as np
@@ -60,7 +59,7 @@ from .engines import (
 _TSV_HEADER = "stage\taxis_deg\tclassical_intensity\tstage_prob\tcumulative_prob"
 
 # stack-file characters split into lines at a time: bounds the line strings alive at once
-_PARSE_CHARS = 1 << 16
+_PARSE_CHARS = 1 << 15
 
 
 class _Parsed(tuple):
@@ -129,11 +128,16 @@ class ExperimentSpec(_ByValue):
         filters.flags.writeable = False
         object.__setattr__(self, "filters_deg", filters)
 
+    def __eq__(self, other: object) -> bool:
+        # the key holds the stack, which hashes in place, for the degrees: equal
+        # degrees build equal stacks, but so do [10] and [190], so they are compared here
+        return _ByValue.__eq__(self, other) and np.array_equal(self.filters_deg, other.filters_deg)
+
+    __hash__ = _ByValue.__hash__  # a class that defines __eq__ alone is unhashable
+
     def _key(self) -> tuple:
-        # -0.0 + 0.0 is 0.0, so stacks that compare equal hash alike
-        return (self.mode, (self.filters_deg + 0.0).tobytes(), self.input_angle_deg,
-                self.intensity, self.photons, self.seed, self.tolerance, self.output_format,
-                self.workers)
+        return (self.mode, self.stack, self.input_angle_deg, self.intensity, self.photons,
+                self.seed, self.tolerance, self.output_format, self.workers)
 
     def to_argv(self) -> list[str]:
         """Canonical flag list; parsing it back yields an identical spec.
@@ -226,19 +230,24 @@ def parse_spec(argv: list[str] | None) -> ExperimentSpec:
     stack_file = args.pop("stack_file", None)
     if "filters_deg" not in args and stack_file is not None:
         try:
-            with open(stack_file, encoding="utf-8") as fh:
-                # a bad line is named by reading the file again, so a pipe is read whole
-                text = fh if fh.seekable() else io.StringIO(fh.read())
+            fh = open(stack_file, encoding="utf-8")
+            if not fh.seekable():
+                # a bad line is named by reading the file again: a pipe is copied first
+                import shutil, tempfile
+                with fh as pipe:
+                    fh = tempfile.TemporaryFile("w+", encoding="utf-8")
+                    shutil.copyfileobj(pipe.buffer, fh.buffer, 1 << 16)
+                fh.seek(0)
+            with fh:
                 # a byte order mark, which Windows editors write, is skipped
-                if text.read(1) != "\ufeff":
-                    text.seek(0)
+                if fh.read(1) != "\ufeff":
+                    fh.seek(0)
                 try:
                     # held by the spec as it is, with no second copy
-                    args["filters_deg"] = _Parsed([parse_stack_text(text, source=stack_file)])
+                    args["filters_deg"] = _Parsed([parse_stack_text(fh, source=stack_file)])
                 except UnicodeDecodeError as exc:
                     # reported below, like any file that cannot be read
                     raise OSError(_decode_error(exc, fh.buffer.tell() - len(exc.object))) from None
-                del text  # a pipe's text is let go before the spec builds the stack
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"--stack-file: cannot read {stack_file!r}: {exc}") from None
     return ExperimentSpec(**args)
@@ -248,16 +257,16 @@ def parse_spec(argv: list[str] | None) -> ExperimentSpec:
 class _Table:
     """One result, one row per filter; :func:`_write` lays it out.
 
-    `tsv_columns` fill the three value columns (`None` is a column of `-`);
-    each of `text_cells` is a list of literal text and columns in row order,
-    such as ``("intensity ", column)`` or
-    ``(counts, " of ", before, " photons passed")``; a column is any that
-    :func:`text_rows` takes, or an int: 2k is the column of `traces[k]`
-    and 2k + 1 its running product, made a block at a time by its walk.
+    Each block of rows has a list of arrays: its stage numbers, its axes in
+    degrees, then each of `results`' arrays for it (see :func:`_block_arrays`).
+    `tsv_columns` fill the three value columns, each an index into that
+    list or literal text (`-` where the result has no such column); each of
+    `text_cells` is literal text and indexes in row order, such as
+    ``("intensity ", 2)`` or ``(2, " of ", 3, " photons passed")``.
     """
 
     stack: FilterStack
-    traces: tuple
+    results: tuple
     tsv_columns: tuple
     tsv_footer: list[str]
     heading: str
@@ -265,48 +274,57 @@ class _Table:
     summary: str
 
 
+def _mc_block(report: MonteCarloReport, lo: int) -> list:
+    # a block of stages' counts, the photons that reached each (n, then the survivors),
+    # the stage fraction of those with its `-` where none did, and the fraction of all
+    n, counts = report.photon_count, report.per_stage_survivor_counts
+    block = counts[lo:lo + _BLOCK]
+    reached = np.append(counts[lo - 1] if lo else n, block[:-1])
+    unreached = reached == 0
+    fraction = np.divide(block, reached, out=np.zeros(len(block)), where=~unreached)
+    return [block, reached, (fraction, unreached), block / n]
+
+
+def _block_arrays(result: CascadeTrace | MonteCarloReport) -> Iterator:
+    # a result's arrays for each block of rows, each made by a call, so no frame here
+    # holds one: a trace's column and its running product, or a report's _mc_block
+    if isinstance(result, MonteCarloReport):
+        return map(_mc_block, repeat(result), range(0, len(result.config.stack), _BLOCK))
+    return map(itemgetter(slice(1, None)), result._blocks())
+
+
 def _write(table: _Table, output_format: str) -> Iterator[str]:
     """Lay a table out as TSV or text; only here are the row layouts known.
 
     Yields the header, each block of rows and the footer, every one ending
-    in a newline. A row is its stage number, its axis and its cells, and
-    each block of rows is laid out by :func:`text_rows`, so only one block
-    of cells is alive at once. The axes are turned into degrees one block
-    at a time too, so no whole-stack column is added.
+    in a newline. A row is its stage number, its axis and its cells. Each
+    block of rows is laid out by :func:`text_rows` from the arrays the row
+    shows, which it lets go as it lays them out, so only one block of cells
+    is alive at once, and no whole-stack column is added.
     """
     if output_format not in _FORMATS:
         raise ValueError(f"unknown format {output_format!r}")
-
-    def stages(lo: int, hi: int) -> np.ndarray:
-        return np.arange(lo + 1, hi + 1)
-
-    def axes(lo: int, hi: int) -> np.ndarray:
-        return np.degrees(table.stack.radians[lo:hi])
-
     if output_format == "tsv":
         head, foot = _TSV_HEADER, table.tsv_footer
-        row = [stages, "\t", axes]
+        row = [0, "\t", 1]
         for column in table.tsv_columns:
-            row += ["\t", "-" if column is None else column]
+            row += ["\t", column]
     else:
         head, foot = table.heading, [table.summary]
-        row = ["  stage ", stages, ": axis ", axes, " deg"]
+        row = ["  stage ", 0, ": axis ", 1, " deg"]
         for cell in table.text_cells:
             row += [", ", *cell]
     row.append("\n")
-    # the traces' walks give the int columns a block at a time; `block` holds
-    # only the arrays the row shows, and each is let go once its cells are
-    # laid out
-    walks, block = [iter(trace._blocks()) for trace in table.traces], {}
-    shown = [item for item in row if type(item) is int]
-    row = [(lambda lo, hi, k=item: block.pop(k)) if type(item) is int else item for item in row]
+    walks = list(map(_block_arrays, table.results))
     yield head + "\n"
     n = len(table.stack)
     for lo in range(0, n, _BLOCK):
-        arrays = [array for walk in walks for array in next(walk)[1:]]
-        block.update((k, arrays[k]) for k in shown)
-        del arrays
-        yield text_rows(row, lo, min(lo + _BLOCK, n))
+        hi = min(lo + _BLOCK, n)
+        block = [np.arange(lo + 1, hi + 1), np.degrees(table.stack.radians[lo:hi]),
+                 *chain.from_iterable(map(next, walks))]
+        items = [item if isinstance(item, str) else block[item] for item in row]
+        del block  # text_rows lets each array go once its cells are laid out
+        yield text_rows(items, hi - lo)
     for line in foot:
         yield line + "\n"
 
@@ -326,46 +344,32 @@ def render_trace(
 def _cascade_table(trace: CascadeTrace) -> _Table:
     # the walk's column: the intensities, or the stage probabilities and their product
     classical = isinstance(trace.input_description, ClassicalBeam)
-    columns = (0, None, None) if classical else (None, 0, 1)
-    labels = ("intensity ", "pass prob ", "cumulative ")
     final = _num(trace.final_transmitted_fraction)
     return _Table(
         stack=trace.stack,
-        traces=(trace,),
-        tsv_columns=columns,
+        results=(trace,),
+        tsv_columns=(2, "-", "-") if classical else ("-", 2, 3),
         tsv_footer=[f"# final_fraction={final}"],
         heading=_describe_input(trace.input_description),
-        text_cells=[(label, c) for label, c in zip(labels, columns) if c is not None],
+        text_cells=[("intensity ", 2)] if classical else [("pass prob ", 2), ("cumulative ", 3)],
         summary=f"transmitted fraction: {final}",
     )
 
 
 def _mc_table(report: MonteCarloReport) -> _Table:
-    # every column but the counts is made for one block of rows at a time
-    n = report.photon_count
-    counts = report.per_stage_survivor_counts
-
-    def before(lo: int, hi: int) -> np.ndarray:
-        # the photons that reached each stage: n at the first, then the survivors
-        return np.append(counts[lo - 1] if lo else n, counts[lo:hi - 1])
-
-    def stage_prob(lo: int, hi: int) -> np.ndarray:
-        reached = before(lo, hi)
-        return np.divide(counts[lo:hi], reached, out=np.zeros(hi - lo), where=reached != 0)
-
     estimate, stderr = _num(report.estimate), _num(report.standard_error)
     lo, hi = (_num(x) for x in report.confidence_interval_95)
     return _Table(
         stack=report.config.stack,
-        traces=(),
-        tsv_columns=(None, (stage_prob, lambda lo, hi: before(lo, hi) == 0),
-                     lambda lo, hi: counts[lo:hi] / n),
+        results=(report,),
+        tsv_columns=("-", 4, 5),
         tsv_footer=[
             f"# final_fraction={estimate}",
             f"# estimate={estimate} stderr={stderr} ci95={lo},{hi} seed={report.seed}",
         ],
-        heading=_describe_input(report.config.input) + f", {n} photons, seed {report.seed}",
-        text_cells=[(counts, " of ", before, " photons passed")],
+        heading=_describe_input(report.config.input)
+        + f", {report.photon_count} photons, seed {report.seed}",
+        text_cells=[(2, " of ", 3, " photons passed")],
         summary=f"transmitted fraction: {estimate} (stderr {stderr}, 95% CI [{lo}, {hi}])",
     )
 
@@ -387,14 +391,14 @@ def render_comparison(
     # the walks' columns: the intensities, the stage probabilities and their product
     table = _Table(
         stack=classical.stack,
-        traces=(classical, quantum),
-        tsv_columns=(0, 2, 3),
+        results=(classical, quantum),
+        tsv_columns=(2, 4, 5),
         tsv_footer=[
             f"# final_fraction={final}",
             f"# compare={verdict} max_diff={max_diff} tolerance={tolerance}",
         ],
         heading=_describe_input(classical.input_description),
-        text_cells=[("intensity ", 0), ("cumulative prob ", 3)],
+        text_cells=[("intensity ", 2), ("cumulative prob ", 5)],
         summary=f"classical fraction {final} vs quantum probability {quantum_final}: "
         f"{verdict} (max diff {max_diff}, tolerance {tolerance})",
     )

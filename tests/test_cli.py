@@ -357,7 +357,8 @@ class TestStackFile:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_bad_line_in_a_pipe_is_named(self, capsys):
-        # a pipe cannot be read twice, so it is read whole to name the line
+        # a pipe cannot be read twice, so its bytes are copied to a temporary
+        # file, which is read again to name the line
         read_end, write_end = os.pipe()
         with os.fdopen(write_end, "wb") as writer:
             writer.write(b"\xef\xbb\xbf0\r\n45\r\noops\r\n")
@@ -369,6 +370,20 @@ class TestStackFile:
         assert capsys.readouterr() == (
             "", f"polcascade: error: {path} line 3: not an angle in degrees: 'oops'\n")
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_invalid_utf8_after_the_first_piece_of_a_pipe(self, tmp_path, capsys):
+        # the byte's place is counted in the pipe's copy, since a pipe cannot
+        # tell where it stands: the message is the file's
+        path = tmp_path / "walk.txt"
+        text = "".join(f"{i * 0.25}\n" for i in range(20_000))
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"1.5\xff\n2.5\n")
+        assert main(["--stack-file", str(path), "--mode", "compare"]) == 2
+        from_file = capsys.readouterr()
+        with _piped(path) as pipe:
+            assert main(["--stack-file", pipe, "--mode", "compare"]) == 2
+        assert from_file.out == "" and f"position {3 + len(text) + 3}:" in from_file.err
+        assert capsys.readouterr() == ("", from_file.err.replace(repr(str(path)), repr(pipe)))
+
     @pytest.mark.parametrize("extra", [0, 1], ids=["piece-size", "piece-size-plus-one"])
     @pytest.mark.parametrize("line", ["{}.25", "{}.5  # c"], ids=["plain", "comments"])
     def test_text_at_the_piece_size(self, extra, line):
@@ -378,7 +393,7 @@ class TestStackFile:
         assert len(text) == n
         angles = parse_stack_text(text).tolist()
         assert tuple(angles) == _parse_line_by_line(text)
-        assert len(angles) > 5_000
+        assert len(angles) > n // 13  # many lines: one per 13 characters at least
 
     def test_bad_line_in_a_later_piece_is_located(self):
         lines = [f"{i * 0.25}" for i in range(30_000)]
@@ -412,10 +427,43 @@ class TestStackFile:
         assert len(spec.stack) == n
         assert peak <= 2 * 8 * n + cli._PARSE_CHARS, peak / (8 * n)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_parsed_like_a_file(self, tmp_path):
+        # a pipe's bytes are copied to a temporary file, which is parsed a
+        # piece at a time like any file, so the peak is a file's (measured:
+        # 2.02 columns); read whole, the pipe's text peaked at ~12 columns
+        n = 100_000
+        degrees = np.cumsum(np.random.default_rng(5).normal(0.0, 0.2, n))
+        path, small = tmp_path / "walk.txt", tmp_path / "small.txt"
+        path.write_text("".join(f"{a!r}\n" for a in degrees.tolist()))
+        small.write_text("0\n45\n")
+        with _piped(small) as pipe:
+            parse_spec(["--stack-file", pipe, "--mode", "compare"])
+        with _piped(path) as pipe:
+            tracemalloc.start()
+            try:
+                spec = parse_spec(["--stack-file", pipe, "--mode", "compare"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert spec.filters_deg.tolist() == degrees.tolist()
+        assert peak <= 2 * 8 * n + cli._PARSE_CHARS, peak / (8 * n)
+
     def test_unreadable_file_named(self, tmp_path):
         missing = tmp_path / "nope.txt"
         with pytest.raises(UsageError, match="nope.txt"):
             parse_spec(["--stack-file", str(missing), "--mode", "classical"])
+
+
+@contextlib.contextmanager
+def _piped(path):
+    # a name for a pipe that `cat` writes the file at `path` to
+    cat = subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE)
+    try:
+        yield f"/dev/fd/{cat.stdout.fileno()}"
+    finally:
+        cat.stdout.close()
+        cat.wait(timeout=60)
 
 
 def _rendered(render, *args):
@@ -1442,7 +1490,7 @@ class TestValueObjects:
             PhotonInput.pure_ket(angle), classical, quantum, config, run_monte_carlo(config),
             compare(classical, quantum, 1e-9),
             parse_spec(["--filters", "0,45,90", "--mode", "mc", "--input", "linear:30"]),
-            cli._cascade_table(quantum),
+            cli._cascade_table(quantum), cli._mc_table(run_monte_carlo(config)),
         ]
         assert len({type(obj) for obj in objects}) == 11
         for obj in objects:
@@ -1453,3 +1501,28 @@ class TestValueObjects:
                 if name not in ("CascadeTrace", "ComparisonReport", "_Table"):  # by value
                     assert copied == obj and hash(copied) == hash(obj), name
 
+    def test_specs_compare_and_hash_in_place(self):
+        # the degrees are read where they are: two equal, distinct specs once
+        # compared and hashed by copying their degrees to bytes (24 bytes a
+        # filter traced); now the compare's work space is one byte a filter
+        # and the hash's is nothing
+        n = 100_000
+        degrees = np.cumsum(np.random.default_rng(1).normal(0.0, 3.0, n))
+        degrees[-1] = 0.0
+        a, b = (ExperimentSpec(mode="compare", filters_deg=degrees) for _ in range(2))
+        # the same stack as a's, since an axis at 180 degrees is the axis at 0
+        c = ExperimentSpec(mode="compare", filters_deg=np.append(degrees[:-1], 180.0))
+        assert c.stack == a.stack
+        for check, bound in [(lambda: a == b and a != c, 2 * n),
+                             (lambda: hash(a) == hash(b) == hash(c), 4096)]:
+            tracemalloc.start()
+            try:
+                assert check()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (peak, bound)
+        # the stack stands for the degrees in the hash: -0.0 and 0.0 build
+        # equal stacks and equal specs
+        zero, negative = (ExperimentSpec(mode="compare", filters_deg=[x]) for x in (0.0, -0.0))
+        assert zero == negative and hash(zero) == hash(negative)
