@@ -14,10 +14,12 @@ results' arrays), laid out by `_cells.text_rows` with every number exactly
 the bytes of Python's 12-significant-digit `format(x, ".12g")`. The renderers
 and :func:`run_experiment` write each block to the text stream they are
 given as it is made, and :func:`main` passes stdout, so a run holds one
-block of output, never all of it. The stack travels as float64 arrays, from
-:func:`parse_stack_text` through :class:`ExperimentSpec` to the engines;
+block of output, never all of it. The stack travels as one float64 array:
 :func:`parse_spec` reads the stack file (a pipe from a copy) a piece at a
-time, and :func:`main` lets the spec and its degrees go before the engines run.
+time into the degrees the spec keeps with no copy, and :func:`main` lets
+the spec go and makes the run's radians from those degrees in their own
+memory, so a run holds one whole-stack column; :func:`run_experiment`
+makes the radians from a copy and leaves its spec as it was.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from ._flags import _FIELDS, _FORMATS, _MODES, UsageError, _build_parser
 from .core import Angle, ClassicalBeam, FilterStack, angle_from_degrees
-from .core import _ByValue, _angle_array, _integer, _real
+from .core import _ArrayKey, _ByValue, _Owned, _angle_array, _finite_min, _integer, _real, _rebuilt
 from .engines import (
     CascadeTrace,
     ComparisonReport,
@@ -62,19 +64,14 @@ _TSV_HEADER = "stage\taxis_deg\tclassical_intensity\tstage_prob\tcumulative_prob
 _PARSE_CHARS = 1 << 15
 
 
-class _Parsed(tuple):
-    """(angles,): the new float64 array of a stack file's angles that
-    :func:`parse_spec` read and no caller holds, which the spec keeps with
-    no copy."""
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class ExperimentSpec(_ByValue):
     """Validated description of one experiment run.
 
     `filters_deg` takes any sequence of numbers, by the library's rule for
     angles, and holds it as a read-only float64 array; specs compare and
-    hash by value.
+    hash by value, reading the array in place, and their copies are
+    read-only too.
     """
 
     mode: str
@@ -86,8 +83,7 @@ class ExperimentSpec(_ByValue):
     tolerance: float = 1e-9
     output_format: str = "tsv"
     workers: int = 1
-    # built once, when the spec is made: the run's stack and its input plane
-    stack: FilterStack = field(init=False, repr=False)
+    # built once, when the spec is made: the run's input plane
     input_angle: Angle | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -97,7 +93,8 @@ class ExperimentSpec(_ByValue):
             raise UsageError(f"unknown format {self.output_format!r}")
         given = self.filters_deg
         try:
-            filters = given[0] if type(given) is _Parsed else _angle_array(given)
+            # a caller's value is copied, since its owner may write it
+            filters = given[0] if type(given) is _Owned else _angle_array(given).copy()
         except ValueError as exc:
             raise UsageError(f"--filters: {exc}") from None
         # the photon range is checked only where photons are sampled
@@ -118,26 +115,18 @@ class ExperimentSpec(_ByValue):
             object.__setattr__(self, "workers", _integer(self.workers, "--workers", 1))
             # + 0.0 turns -0.0 into 0.0, so the footer never reads "tolerance=-0"
             object.__setattr__(self, "tolerance", _real(self.tolerance, "--tolerance", 0) + 0.0)
-            object.__setattr__(self, "stack", FilterStack.from_degrees(filters))
+            _finite_min(filters)  # the stack's rule, checked before any stack is built
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        if type(given) is not _Parsed:
-            # a caller's value is copied, since its owner may write it, and
-            # only once the stack is built, so the copy and the build never overlap
-            filters = filters.copy()
         filters.flags.writeable = False
         object.__setattr__(self, "filters_deg", filters)
 
-    def __eq__(self, other: object) -> bool:
-        # the key holds the stack, which hashes in place, for the degrees: equal
-        # degrees build equal stacks, but so do [10] and [190], so they are compared here
-        return _ByValue.__eq__(self, other) and np.array_equal(self.filters_deg, other.filters_deg)
-
-    __hash__ = _ByValue.__hash__  # a class that defines __eq__ alone is unhashable
-
     def _key(self) -> tuple:
-        return (self.mode, self.stack, self.input_angle_deg, self.intensity, self.photons,
-                self.seed, self.tolerance, self.output_format, self.workers)
+        # the degrees are compared and hashed where they are
+        return (self.mode, _ArrayKey(self.filters_deg), self.input_angle_deg, self.intensity,
+                self.photons, self.seed, self.tolerance, self.output_format, self.workers)
+
+    __reduce__ = _rebuilt
 
     def to_argv(self) -> list[str]:
         """Canonical flag list; parsing it back yields an identical spec.
@@ -244,7 +233,7 @@ def parse_spec(argv: list[str] | None) -> ExperimentSpec:
                     fh.seek(0)
                 try:
                     # held by the spec as it is, with no second copy
-                    args["filters_deg"] = _Parsed([parse_stack_text(fh, source=stack_file)])
+                    args["filters_deg"] = _Owned([parse_stack_text(fh, source=stack_file)])
                 except UnicodeDecodeError as exc:
                     # reported below, like any file that cannot be read
                     raise OSError(_decode_error(exc, fh.buffer.tell() - len(exc.object))) from None
@@ -428,20 +417,28 @@ def exit_policy(result) -> int:
 def run_experiment(
     spec: ExperimentSpec, out: TextIO
 ) -> CascadeTrace | MonteCarloReport | ComparisonReport:
-    """Execute the requested mode, rendering its report to `out`; returns the result."""
+    """Execute the requested mode, rendering its report to `out`; returns the result.
+
+    The run's stack is made from a copy of the spec's degrees, so the spec
+    is left as it was.
+    """
     return _run(_run_inputs(spec), out)
 
 
-# what a run takes from its spec, all but the degrees; a caller that passes
-# a spec it holds nowhere else lets the spec go when this returns
-_run_inputs = attrgetter("mode", "stack", "input_angle", "intensity", "photons", "seed",
+# what a run takes from its spec; a caller that passes a spec it holds
+# nowhere else lets the spec go when this returns
+_run_inputs = attrgetter("mode", "filters_deg", "input_angle", "intensity", "photons", "seed",
                          "tolerance", "output_format", "workers")
 
 
-def _run(inputs: tuple, out: TextIO) -> CascadeTrace | MonteCarloReport | ComparisonReport:
+def _run(
+    inputs: tuple, out: TextIO, owned: bool = False
+) -> CascadeTrace | MonteCarloReport | ComparisonReport:
     # the engines and renderers are looked up on the module on every call,
-    # so a caller can replace them
-    mode, stack, angle, intensity, photons, seed, tolerance, output_format, workers = inputs
+    # so a caller can replace them; `owned`: nothing but `inputs` holds the
+    # degrees, so the stack's radians are made in their memory
+    mode, degrees, angle, intensity, photons, seed, tolerance, output_format, workers = inputs
+    stack = FilterStack.from_degrees(_Owned([degrees]) if owned else degrees)
     if mode == "compare":
         classical = run_classical(ClassicalBeam(intensity, angle), stack)
         quantum = run_quantum_exact(PhotonInput(angle), stack)
@@ -487,11 +484,12 @@ def main(argv: list[str] | None = None) -> int:
     """
     out = sys.stdout
     try:
-        # the spec is let go as soon as its run inputs are out, so its degrees
-        # are not held while the engines and the render run; a `del` inside
-        # run_experiment would not do it on Python 3.10, where a caller holds
-        # its call's arguments until the call returns
-        result = _run(_run_inputs(parse_spec(argv)), out)
+        # the spec is let go as soon as its run inputs are out, so only they
+        # hold its degrees, whose memory becomes the run's radians: a run holds
+        # one whole-stack column. A `del` inside run_experiment would not do it
+        # on Python 3.10, where a caller holds its call's arguments until the
+        # call returns
+        result = _run(_run_inputs(parse_spec(argv)), out, True)
         out.flush()
     except UsageError as exc:
         print(f"polcascade: error: {exc}", file=sys.stderr)

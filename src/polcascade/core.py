@@ -15,7 +15,7 @@ import math
 import numbers
 import zlib
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -162,15 +162,21 @@ def _angle_array(values: object) -> np.ndarray:
         raise ValueError("filter angle must be finite, got an int beyond float's range") from None
 
 
+def _finite_min(a: np.ndarray) -> float:
+    # the least of a's values and 0, once each value is found finite: min and
+    # max, from 0, find a nan or an infinity with no array as long as `a`; the
+    # one rule for a stack's angles, in degrees or in radians
+    lo, hi = np.minimum.reduce(a, initial=0.0), np.maximum.reduce(a, initial=0.0)
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(f"filter angle must be finite, got {a[~np.isfinite(a)][0].item()!r}")
+    return lo
+
+
 def _reduced(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     # r reduced to [0, pi) in `out`, which may be r, made read-only; each
-    # value as Angle reduces it. min and max, from 0, find a nan, an
-    # infinity or a negative value with no array as long as r; a value on
-    # the divisor can only come from a negative one, and reducing again
-    # takes pi, and only pi, to 0
-    lo, hi = np.minimum.reduce(r, initial=0.0), np.maximum.reduce(r, initial=0.0)
-    if not -math.inf < lo <= hi < math.inf:
-        raise ValueError(f"filter angle must be finite, got {r[~np.isfinite(r)][0].item()!r}")
+    # value as Angle reduces it. A value on the divisor can only come from
+    # a negative one, and reducing again takes pi, and only pi, to 0
+    lo = _finite_min(r)
     np.mod(r, np.pi, out)
     if lo < 0.0:
         np.mod(out, np.pi, out)
@@ -178,8 +184,41 @@ def _reduced(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+class _ArrayKey:
+    """A float64 array as part of a `_key()`: compared as np.array_equal
+    compares it and hashed by the CRC-32 of its values, both where it is."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+    def __eq__(self, other: object) -> bool:
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        # 256 values at a time, so no column is made; + 0.0 reads -0.0 as
+        # 0.0, which np.array_equal finds equal to it
+        crc = 0
+        for lo in range(0, len(self.array), 256):
+            crc = zlib.crc32(self.array[lo:lo + 256] + 0.0, crc)
+        return crc
+
+
+def _rebuilt(self) -> tuple:
+    # a __reduce__: a copy, a deep copy or an unpickled value is built again
+    # from its init fields, so its arrays are read-only too
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+class _Owned(tuple):
+    """(array,): a 1-D float64 array that no one but this tuple's holder
+    holds, handed on with no copy; :meth:`FilterStack.from_degrees` makes
+    the radians of such degrees in their own memory."""
+
+
 @dataclass(frozen=True, eq=False, slots=True)
-class FilterStack:
+class FilterStack(_ByValue):
     """Ordered polarizer axes; an empty stack transmits unchanged.
 
     `radians` is one read-only float64 array, each axis reduced to
@@ -197,15 +236,18 @@ class FilterStack:
     def from_degrees(cls, degrees: Iterable[float]) -> FilterStack:
         """Stack from axis angles in degrees, read by the same rule as radians."""
         stack = object.__new__(cls)
-        # the radians are made here, so they are reduced where they are
-        r = np.radians(_angle_array(degrees))
+        # the radians are made here, so they are reduced where they are; an
+        # _Owned array of degrees is made into them where it is
+        if type(degrees) is _Owned:
+            r = degrees[0]
+            r.flags.writeable = True
+            np.radians(r, out=r)
+        else:
+            r = np.radians(_angle_array(degrees))
         object.__setattr__(stack, "radians", _reduced(r, r))
         return stack
 
-    def __reduce__(self) -> tuple:
-        # a copy, a deep copy or an unpickled stack is built from the radians
-        # again, so its array is read-only too
-        return type(self), (self.radians,)
+    __reduce__ = _rebuilt
 
     @property
     def axes(self) -> tuple[Angle, ...]:
@@ -214,15 +256,8 @@ class FilterStack:
     def __len__(self) -> int:
         return len(self.radians)
 
-    def __eq__(self, other: object) -> bool:
-        # reduced to [0, pi), the angles hold no -0.0 and no nan, so equal
-        # elements are equal bytes, and equal stacks hash alike
-        return self is other or (
-            type(other) is type(self) and np.array_equal(self.radians, other.radians)
-        )
-
-    def __hash__(self) -> int:
-        return zlib.crc32(self.radians)
+    def _key(self) -> tuple:
+        return (_ArrayKey(self.radians),)
 
 
 @dataclass(frozen=True, slots=True)

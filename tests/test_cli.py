@@ -213,7 +213,8 @@ class TestStackFile:
         spec = parse_spec(["--stack-file", str(path), "--mode", "classical"])
         assert seen == [(str(path), "0\n45\n90\n", str(path))]
         assert tuple(spec.filters_deg.tolist()) == (1.0, 2.0)
-        assert tuple(spec.stack.radians.tolist()) == (math.radians(1.0), math.radians(2.0))
+        stack = FilterStack.from_degrees(spec.filters_deg)
+        assert tuple(stack.radians.tolist()) == (math.radians(1.0), math.radians(2.0))
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "stack.txt"
@@ -405,10 +406,11 @@ class TestStackFile:
         assert str(info.value) == "walk.txt line 25001: not an angle in degrees: '9x'"
 
     def test_file_text_is_let_go_before_the_spec(self, tmp_path):
-        # the file (~19 bytes a line here) is read a piece at a time, the
-        # spec holds the parsed angles with no copy, and the stack reduces
-        # the radians it makes in place: the peak is the radians made beside
-        # the parsed array, two float64 columns (measured: 2.02). A first
+        # the file (~19 bytes a line here) is read a piece at a time, and
+        # the spec holds the parsed angles with no copy and builds no stack:
+        # parse_spec peaks where parse_stack_text alone does, as its array
+        # grows, within one piece (measured: 11 KB more). With the radians
+        # made beside the parsed array it peaked at 2.02 columns. A first
         # parse first imports a few modules (~0.2 columns here, whatever the
         # stack's length), so one small file is parsed before the measured
         # one.
@@ -418,20 +420,22 @@ class TestStackFile:
         path.write_text("".join(f"{a!r}\n" for a in degrees.tolist()))
         small.write_text("0\n45\n")
         parse_spec(["--stack-file", str(small), "--mode", "compare"])
+        text_peak = _parse_text_peak(path)
         tracemalloc.start()
         try:
             spec = parse_spec(["--stack-file", str(path), "--mode", "compare"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(spec.stack) == n
-        assert peak <= 2 * 8 * n + cli._PARSE_CHARS, peak / (8 * n)
+        assert len(FilterStack.from_degrees(spec.filters_deg)) == n
+        assert peak <= text_peak + cli._PARSE_CHARS, (peak, text_peak)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_a_pipe_is_parsed_like_a_file(self, tmp_path):
         # a pipe's bytes are copied to a temporary file, which is parsed a
-        # piece at a time like any file, so the peak is a file's (measured:
-        # 2.02 columns); read whole, the pipe's text peaked at ~12 columns
+        # piece at a time like any file, so the peak is parse_stack_text's on
+        # the file, within one piece; read whole, the pipe's text peaked at
+        # ~12 columns
         n = 100_000
         degrees = np.cumsum(np.random.default_rng(5).normal(0.0, 0.2, n))
         path, small = tmp_path / "walk.txt", tmp_path / "small.txt"
@@ -439,6 +443,7 @@ class TestStackFile:
         small.write_text("0\n45\n")
         with _piped(small) as pipe:
             parse_spec(["--stack-file", pipe, "--mode", "compare"])
+        text_peak = _parse_text_peak(path)
         with _piped(path) as pipe:
             tracemalloc.start()
             try:
@@ -447,12 +452,23 @@ class TestStackFile:
             finally:
                 tracemalloc.stop()
         assert spec.filters_deg.tolist() == degrees.tolist()
-        assert peak <= 2 * 8 * n + cli._PARSE_CHARS, peak / (8 * n)
+        assert peak <= text_peak + cli._PARSE_CHARS, (peak, text_peak)
 
     def test_unreadable_file_named(self, tmp_path):
         missing = tmp_path / "nope.txt"
         with pytest.raises(UsageError, match="nope.txt"):
             parse_spec(["--stack-file", str(missing), "--mode", "classical"])
+
+
+def _parse_text_peak(path):
+    # the traced peak of parse_stack_text alone, from opening the file at `path`
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parse_stack_text(fh, source=str(path))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @contextlib.contextmanager
@@ -1420,16 +1436,16 @@ class TestRenderMemory:
     def test_whole_run_peak_is_bounded_by_the_stack(self, tmp_path, monkeypatch):
         # main streams its output, so the peak scales with the stack, not
         # with the ~80 bytes a filter of output. The stack file is read a
-        # piece at a time, and the stack reduces the radians it makes in
-        # place, so the parse peaks while the radians are made beside the
-        # parsed angles: two columns of 8 bytes a filter, under one piece
-        # more (measured: 6.7 block rows). main lets the spec, and with it
-        # the degrees, go before the engines run, and a trace keeps one block
-        # of its column, so from the first engine call a compare holds the
-        # stack's radians and a few blocks (measured: 256 block rows, of
-        # which the render block is ~200). A first run imports and caches a
-        # few things (~0.2 columns here, whatever the stack's length), so a
-        # small file runs before the measured one.
+        # piece at a time into the one array of degrees the spec holds (the
+        # parse's bound is tested more tightly above). main lets the spec go
+        # and makes the run's radians from its degrees in their own memory,
+        # so the hand-off from the parse to the first engine call adds no
+        # column (measured: ~1 KB over what the parse left). A trace keeps
+        # one block of its column, so from the first engine call a compare
+        # holds the stack's radians and a few blocks (measured: 256 block
+        # rows, of which the render block is ~200). A first run imports and
+        # caches a few things (~0.2 columns here, whatever the stack's
+        # length), so a small file runs before the measured one.
         n = 100_000
         degrees = np.cumsum(np.random.default_rng(5).normal(0.0, 0.2, n))
         path, small = tmp_path / "walk.txt", tmp_path / "small.txt"
@@ -1439,11 +1455,13 @@ class TestRenderMemory:
 
         def parse_then_record_peak(argv):
             spec = parse_spec(argv)
-            peaks["parse"] = tracemalloc.get_traced_memory()[1]
+            peaks["parsed"], peaks["parse"] = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             return spec
 
         def reset_peak_then_run(*args):
-            # the spec has been let go by now
+            # the spec has been let go by now, and its degrees are the radians
+            peaks["handoff"] = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             return run_classical(*args)
 
@@ -1459,7 +1477,41 @@ class TestRenderMemory:
                 tracemalloc.stop()
         assert code == 0
         assert peaks["parse"] < 2 * 8 * n + cli._PARSE_CHARS, peaks
+        assert peaks["handoff"] < peaks["parsed"] + 8 * BLOCK, peaks
         assert run_peak < 8 * n + 300 * BLOCK, run_peak
+
+
+class TestRunExperiment:
+    """The library path: run_experiment makes its stack from a copy of the
+    spec's degrees, where main makes it in their own memory."""
+
+    @pytest.mark.parametrize("mode", ["classical", "quantum", "compare", "mc"])
+    def test_a_spec_runs_twice_and_is_left_as_it_was(self, tmp_path, mode):
+        # angles outside [0, 180), negatives too, across a block edge
+        path = tmp_path / "stack.txt"
+        degrees = np.cumsum(np.random.default_rng(3).normal(0.0, 40.0, BLOCK + 3)) - 200.0
+        path.write_text("".join(f"{a!r}\n" for a in degrees.tolist()))
+        argv = ["--stack-file", str(path), "--mode", mode, "--photons", "1000"]
+        spec = parse_spec(argv)
+        first, second = (_run_spec(spec) for _ in range(2))
+        assert first == second
+        again = parse_spec(argv)
+        assert spec == again and hash(spec) == hash(again)
+        assert spec.filters_deg.tolist() == degrees.tolist()
+        assert not spec.filters_deg.flags.writeable
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue() == first
+
+    def test_a_non_finite_angle_is_named_as_before(self, capsys):
+        assert main(["--filters", "0,inf", "--mode", "compare"]) == 2
+        assert capsys.readouterr() == ("", "polcascade: error: filter angle must be finite, got inf\n")
+
+
+def _run_spec(spec):
+    out = io.StringIO()
+    run_experiment(spec, out)
+    return out.getvalue()
 
 
 def _same(a, b):
@@ -1505,16 +1557,17 @@ class TestValueObjects:
         # the degrees are read where they are: two equal, distinct specs once
         # compared and hashed by copying their degrees to bytes (24 bytes a
         # filter traced); now the compare's work space is one byte a filter
-        # and the hash's is nothing
+        # and the hash's is 256 values, under a quarter of a block
         n = 100_000
         degrees = np.cumsum(np.random.default_rng(1).normal(0.0, 3.0, n))
         degrees[-1] = 0.0
         a, b = (ExperimentSpec(mode="compare", filters_deg=degrees) for _ in range(2))
-        # the same stack as a's, since an axis at 180 degrees is the axis at 0
+        # the same stack as a's, since an axis at 180 degrees is the axis at
+        # 0, but not the same spec: its to_argv differs
         c = ExperimentSpec(mode="compare", filters_deg=np.append(degrees[:-1], 180.0))
-        assert c.stack == a.stack
+        assert FilterStack.from_degrees(c.filters_deg) == FilterStack.from_degrees(a.filters_deg)
         for check, bound in [(lambda: a == b and a != c, 2 * n),
-                             (lambda: hash(a) == hash(b) == hash(c), 4096)]:
+                             (lambda: hash(a) == hash(b), 4096)]:
             tracemalloc.start()
             try:
                 assert check()
@@ -1522,7 +1575,28 @@ class TestValueObjects:
             finally:
                 tracemalloc.stop()
             assert peak < bound, (peak, bound)
-        # the stack stands for the degrees in the hash: -0.0 and 0.0 build
-        # equal stacks and equal specs
+        assert 4096 < 8 * BLOCK
+        ten, other_ten = (ExperimentSpec(mode="compare", filters_deg=[x]) for x in (10, 190))
+        assert ten != other_ten
+        # -0.0 and 0.0 are equal values, so the specs are equal and hash alike
         zero, negative = (ExperimentSpec(mode="compare", filters_deg=[x]) for x in (0.0, -0.0))
         assert zero == negative and hash(zero) == hash(negative)
+        halves = [-0.0, 0.0] * 300  # zeros in more than one piece of the hash
+        assert hash(ExperimentSpec(mode="mc", filters_deg=halves)) == hash(
+            ExperimentSpec(mode="mc", filters_deg=np.zeros(600)))
+
+    def test_copies_are_read_only(self, tmp_path):
+        # a copy, a deep copy or an unpickled spec is built again from its
+        # fields, so its degrees are a read-only array of its own
+        path = tmp_path / "stack.txt"
+        path.write_text("0\n-45\n190.5\n")
+        specs = [parse_spec(["--stack-file", str(path), "--mode", "compare"]),
+                 ExperimentSpec(mode="mc", filters_deg=[0.0, -0.0, 45.0], input_angle_deg=30)]
+        for spec in specs:
+            for copied in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+                assert copied == spec and hash(copied) == hash(spec)
+                assert _same(copied, spec)
+                assert not copied.filters_deg.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    copied.filters_deg[0] = 1.0
+                assert copied == spec

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polcascade
+from polcascade import core
 from polcascade.core import (
     Angle,
     ClassicalBeam,
@@ -238,6 +239,26 @@ class TestFilterStack:
         assert reduced[n // 2] == np.pi
         reduced[reduced >= np.pi] = 0.0
         assert stack.radians.tobytes() == reduced.tobytes()
+
+    def test_owned_degrees_become_the_radians_in_place(self):
+        # degrees no one else holds are made into the radians in their own
+        # memory, bit for bit the radians from_degrees makes of a copy: at
+        # every scale, either sign, on the divisor and just below 0
+        rng = np.random.default_rng(4)
+        degrees = np.concatenate([
+            rng.normal(0.0, 1e3, 4000), rng.uniform(-1.0, 1.0, 1000) * 1.7e308,
+            np.ldexp(rng.uniform(-1.0, 1.0, 1000), rng.integers(-1074, 1024, 1000)),
+            [-1e-300, -0.0, 0.0, 180.0, -180.0, 540.0, 5e-324, -5e-324],
+        ])
+        owned = degrees.copy()
+        owned.flags.writeable = False  # as a spec holds them
+        stack = FilterStack.from_degrees(core._Owned([owned]))
+        assert stack.radians is owned and not owned.flags.writeable
+        assert stack.radians.tobytes() == FilterStack.from_degrees(degrees).radians.tobytes()
+
+    def test_owned_degrees_are_checked_finite(self):
+        with pytest.raises(ValueError, match="^filter angle must be finite, got nan$"):
+            FilterStack.from_degrees(core._Owned([np.array([0.0, np.nan])]))
 
     @given(radians=st.lists(finite_angles | st.floats(-1e-300, 0.0), max_size=20))
     def test_axes_are_the_angles_of_each_value(self, radians):

@@ -96,6 +96,18 @@ class TestRunClassical:
             intensities = [1.0] + [s.classical_intensity_after for s in trace.stages]
             assert all(b <= a for a, b in zip(intensities, intensities[1:]))
 
+    @given(
+        a=st.floats(allow_nan=False, allow_infinity=False),
+        plane=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+        intensity=st.floats(min_value=sys.float_info.min, max_value=1e300),
+    )
+    def test_a_repeated_filter_passes_all_it_is_given(self, a, plane, intensity):
+        # the second of two equal axes sees the plane the first leaves, so
+        # its Malus factor is cos^2(0), exactly 1, whatever the angle
+        beam = ClassicalBeam(intensity, None if plane is None else deg(plane))
+        first, second = run_classical(beam, stack_of(a, a)).classical_intensity_after.tolist()
+        assert second.hex() == first.hex()
+
 
 class TestStageRows:
     def test_rows_are_the_columns_as_named_tuples(self):
