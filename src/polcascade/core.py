@@ -185,7 +185,7 @@ def _reduced(r: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class _ArrayKey:
-    """A float64 array as part of a `_key()`: compared as np.array_equal
+    """A numeric array as part of a `_key()`: compared as np.array_equal
     compares it and hashed by the CRC-32 of its values, both where it is."""
 
     __slots__ = ("array",)
@@ -197,11 +197,12 @@ class _ArrayKey:
         return np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        # 256 values at a time, so no column is made; + 0.0 reads -0.0 as
-        # 0.0, which np.array_equal finds equal to it
+        # 256 values at a time, so no column is made; + 0 reads a float
+        # -0.0 as 0.0, which np.array_equal finds equal to it, and keeps an
+        # integer array's dtype, so no cast buffer is made
         crc = 0
         for lo in range(0, len(self.array), 256):
-            crc = zlib.crc32(self.array[lo:lo + 256] + 0.0, crc)
+            crc = zlib.crc32(self.array[lo:lo + 256] + 0, crc)
         return crc
 
 

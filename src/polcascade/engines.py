@@ -19,10 +19,11 @@ stages) and a kernel turns the two into the stage's factor:
   photons in stream order: a seed gives the same bits at any worker count.
 
 A :class:`CascadeTrace` keeps the first `_BLOCK` stages of its engine's
-column, its head, and its final fraction; `stages` is a per-row view. One
-fold, :func:`_fold`, makes a column a block at a time with its running
-product, which :func:`_running_product` carries across each block edge
-with the roundings of one product over the whole column, and the quantum
+column, its head, as immutable bytes (~185 bytes in all at 7 stages), and
+its final fraction; `stages` is a per-row view. One fold, :func:`_fold`,
+makes a column a block at a time with its running product, which
+:func:`_running_product` carries across each block edge with the
+roundings of one product over the whole column, and the quantum
 extinction cut with it. Every read of a column, `compare` and the CLI's
 render take their blocks from its walk, the first from the head and every
 later one folded again from the stack. :func:`compare` reconciles the classical
@@ -41,7 +42,7 @@ import math
 import os
 import sys
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -50,7 +51,7 @@ import numpy as np
 
 from ._folds import _BLOCK, _born, _fold, _gather, _stage_factors, _walk
 from .core import Angle, ClassicalBeam, FilterStack
-from .core import _ByValue, _integer, _real
+from .core import _ArrayKey, _ByValue, _integer, _real
 
 # Two-sided 95% normal quantile, used by the Wilson score interval.
 _Z95 = 1.959963984540054
@@ -131,37 +132,39 @@ class CascadeTrace:
     """End-to-end result of a classical or exact quantum run.
 
     The trace keeps the first `_BLOCK` stages of its engine's column, the
-    classical intensities or the quantum stage probabilities; each read of
-    a column returns a new float64 array aligned with `stack`, its later
-    blocks folded again from the stack, and None for a column the engine
-    does not produce.
+    classical intensities or the quantum stage probabilities, as immutable
+    bytes (~185 bytes a 7-stage trace in all); each read of a column
+    returns a new float64 array aligned with `stack`, its later blocks
+    folded again from the stack, and None for a column the engine does not
+    produce.
     """
 
     input_description: ClassicalBeam | PhotonInput
     stack: FilterStack
     final_transmitted_fraction: float
-    _head: np.ndarray = field(repr=False)
+    _head: bytes = field(repr=False)
 
     def _blocks(self) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
         # (lo, column, product) of each block, as _walk makes them; a head
         # that is the whole column is the one block
-        head = self._head
+        head = np.frombuffer(self._head)
         if len(head) < len(self.stack):
             return _walk(self.input_description, self.stack.radians, head)
         classical = isinstance(self.input_description, ClassicalBeam)
         return ((0, head, head if classical else np.multiply.accumulate(head)),)
 
     def _column(self) -> np.ndarray:
-        # the whole column: the head itself when it is the whole stack
-        if len(self._head) == len(self.stack):
-            return self._head
+        # the whole column: a view of the head when it is the whole stack
+        head = np.frombuffer(self._head)
+        if len(head) == len(self.stack):
+            return head
         return _gather(self._blocks(), len(self.stack))
 
     def _read(self, kind: type) -> np.ndarray | None:
         # the column, as a new array, of a trace whose input is of `kind`
         if isinstance(self.input_description, kind):
             column = self._column()
-            return column.copy() if column is self._head else column
+            return column if column.flags.writeable else column.copy()
 
     @property
     def classical_intensity_after(self) -> np.ndarray | None:
@@ -224,7 +227,7 @@ class MonteCarloReport(_ByValue):
     per_stage_survivor_counts: np.ndarray
 
     def _key(self) -> tuple:
-        return (self.config, self.per_stage_survivor_counts.tobytes())
+        return (self.config, _ArrayKey(self.per_stage_survivor_counts))
 
     @property
     def seed(self) -> int:
@@ -283,11 +286,7 @@ class ComparisonReport:
     @property
     def stage_differences(self) -> np.ndarray:
         """|intensity fraction - cumulative probability| at each stage."""
-        classical, quantum = self.classical, self.quantum
-        intensity_in = classical.input_description.intensity
-        return _gather(((lo, _differences(intensities, intensity_in, cumulative))
-                        for (lo, intensities, _), (_, _, cumulative)
-                        in zip(classical._blocks(), quantum._blocks())), len(classical.stack))
+        return _gather(_difference_blocks(self.classical, self.quantum), len(self.classical.stack))
 
     @property
     def passed(self) -> bool:
@@ -297,12 +296,12 @@ class ComparisonReport:
 
 def _trace(input: ClassicalBeam | PhotonInput, stack: FilterStack, start: float) -> CascadeTrace:
     """The trace of one walk over the stack from `start`, the product before
-    the first stage: its head is the first block's column, and its final
-    fraction the last product over `start` (0 for a dark beam, and 1 for an
-    empty stack). The blocks are folded by calls, not by a generator, which
-    would cost a short stack ~10% more."""
+    the first stage: its head is the first block's column as bytes, and its
+    final fraction the last product over `start` (0 for a dark beam, and 1
+    for an empty stack). The blocks are folded by calls, not by a generator,
+    which would cost a short stack ~10% more."""
     radians, state = stack.radians, [start, 1.0]
-    head = _fold(input, radians, 0, None, state)[1] if len(radians) else np.empty(0)
+    head = _fold(input, radians, 0, None, state)[1].tobytes() if len(radians) else b""
     for lo in range(_BLOCK, len(radians), _BLOCK):
         _fold(input, radians, lo, None, state)
     return CascadeTrace(input, stack, float(state[0]) / start if start else 0.0, head)
@@ -575,14 +574,18 @@ def compare(
         raise ComparisonDomainError("traces describe different filter stacks")
     if classical.input_description.intensity == 0.0:
         raise ComparisonDomainError("classical input is dark, so it has no transmitted fraction")
-    # the largest |fraction - cumulative|, a block of stages at a time; the
-    # last stage's is the final difference, with the same division and
-    # subtraction, so the fold starts from 0
-    max_diff, intensity_in = 0.0, classical.input_description.intensity
-    for (_, intensities, _), (_, _, cumulative) in zip(classical._blocks(), quantum._blocks()):
-        diffs = _differences(intensities, intensity_in, cumulative)
+    # the largest difference; the last stage's is the final difference,
+    # with the same division and subtraction, so the fold starts from 0
+    max_diff = 0.0
+    for _, diffs in _difference_blocks(classical, quantum):
         max_diff = np.maximum.reduce(diffs, initial=max_diff)
     return ComparisonReport(classical, quantum, float(max_diff), tolerance)
+
+
+def _difference_blocks(classical: CascadeTrace, quantum: CascadeTrace) -> Iterator[tuple]:
+    """(lo, |intensity fraction - cumulative probability|) of each block."""
+    for (lo, intensities, _), (_, _, cumulative) in zip(classical._blocks(), quantum._blocks()):
+        yield lo, _differences(intensities, classical.input_description.intensity, cumulative)
 
 
 def _differences(intensities: np.ndarray, intensity_in: float, cumulative: np.ndarray) -> np.ndarray:
